@@ -477,9 +477,9 @@ let run_fleet_stage () =
 (* ---------- parallel fault-simulation kernels --------------------- *)
 
 (* Wall-time the non-dropping simulation of a sizeable pattern set on
-   the largest requested suite circuit, serial vs. the jobs-sized pool
-   (stem-first) vs. single-domain stem-first, check the three agree
-   word for word, and leave the numbers in BENCH_adi.json. *)
+   the largest requested suite circuit, one lane (event) vs. the
+   jobs-sized pool (stem) vs. wide single-lane superblocks, check they
+   all agree word for word, and leave the numbers in BENCH_adi.json. *)
 
 (* BENCH_adi.json is a history: {"schema": "bench_adi/v2", "entries":
    [...]} with one single-line object per bench run, newest last, so
@@ -788,13 +788,7 @@ let run_perf_kernels () =
   Printf.printf "  detection_sets  jobs=1            %8.3f s\n%!" t_serial;
   let pooled, t_pooled = time (fun () -> Faultsim.detection_sets ~jobs fl pats) in
   Printf.printf "  detection_sets  jobs=%-4d         %8.3f s\n%!" jobs t_pooled;
-  let stem, t_stem = time (fun () -> Faultsim.detection_sets_stem_first fl pats) in
-  Printf.printf "  detection_sets  stem-first (1 dom)%8.3f s\n%!" t_stem;
-  let cpt, t_cpt =
-    time (fun () -> Faultsim.detection_sets ~kernel:Faultsim.Cpt fl pats)
-  in
-  Printf.printf "  detection_sets  cpt (1 dom)       %8.3f s\n%!" t_cpt;
-  (* Wide superblocks: the same kernels over 4- and 8-word lanes
+  (* Wide superblocks: the kernels over 4- and 8-word lanes
      (256 / 512 patterns per pass), still single-domain. *)
   let stem_w4, t_stem_w4 =
     time (fun () -> Faultsim.detection_sets ~kernel:Faultsim.Stem ~block_width:4 fl pats)
@@ -809,7 +803,7 @@ let run_perf_kernels () =
   in
   Printf.printf "  detection_sets  event w8 (1 dom)  %8.3f s\n%!" t_event_w8;
   (* The dominance row times the target-list reduction: the prime
-     (dominance-surviving) universe under the probe kernel. *)
+     (dominance-surviving) universe under the stem kernel. *)
   let _, t_dom =
     time (fun () ->
         Faultsim.detection_sets ~kernel:Faultsim.Stem collapse.Collapse.prime pats)
@@ -819,8 +813,6 @@ let run_perf_kernels () =
     (fun i d ->
       if
         (not (Util.Bitvec.equal d pooled.(i)))
-        || (not (Util.Bitvec.equal d stem.(i)))
-        || (not (Util.Bitvec.equal d cpt.(i)))
         || (not (Util.Bitvec.equal d stem_w4.(i)))
         || (not (Util.Bitvec.equal d stem_w8.(i)))
         || not (Util.Bitvec.equal d event_w8.(i))
@@ -828,10 +820,10 @@ let run_perf_kernels () =
     serial;
   let speedup = t_serial /. t_pooled in
   Printf.printf
-    "  all seven agree word-for-word; speedup (jobs=%d vs serial): %.2fx, \
-     (stem w8 vs stem w1): %.2fx\n\n%!"
+    "  all five agree word-for-word; speedup (jobs=%d vs serial): %.2fx, \
+     (stem w8 vs event w1): %.2fx\n\n%!"
     jobs speedup
-    (if t_stem_w8 > 0.0 then t_stem /. t_stem_w8 else 0.0);
+    (if t_stem_w8 > 0.0 then t_serial /. t_stem_w8 else 0.0);
   (* ATPG phase: serial engine vs speculative lookahead, same prepared
      setup, byte-identical test sets by construction (checked). *)
   let cfg = !bench_cfg in
@@ -869,8 +861,6 @@ let run_perf_kernels () =
       [
         ("detection_sets/serial", 1, t_serial);
         (Printf.sprintf "detection_sets/jobs%d" jobs, jobs, t_pooled);
-        ("detection_sets/stem_first", 1, t_stem);
-        ("detection_sets/cpt", 1, t_cpt);
         ("detection_sets/stem_w4", 1, t_stem_w4);
         ("detection_sets/stem_w8", 1, t_stem_w8);
         ("detection_sets/event_w8", 1, t_event_w8);

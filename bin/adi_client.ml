@@ -143,7 +143,7 @@ let config_params_term =
     $ opt_param ~param:"block_width" "block-width" (fun i -> Json.Int i) Arg.int
         "Words per simulation lane: 1, 2, 4 or 8 (the $(b,block_width) request \
          parameter; results are identical for any width)." "W"
-    $ str_p "kernel" "Fault-simulation kernel: event, stem or cpt." "KERNEL"
+    $ str_p "kernel" "Fault-simulation kernel: event or stem." "KERNEL"
     $ str_p "order" "Fault order: orig, incr0, decr, 0decr, dynm, 0dynm." "ORDER"
     $ int_p "backtracks" "PODEM backtrack limit." "B"
     $ opt_param ~param:"retries" "abort-retries" (fun i -> Json.Int i) Arg.int

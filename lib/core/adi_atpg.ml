@@ -47,7 +47,6 @@ module Goodsim = Goodsim
 module Seqsim = Seqsim
 module Testbench = Testbench
 module Faultsim = Faultsim
-module Deductive = Deductive
 module Refsim = Refsim
 
 (** {1 Test generation} *)

@@ -71,7 +71,7 @@ let build ?(jobs = 1) ?(block_width = 1) fl pats =
   let good_out = Goodsim.outputs c pats in
   let nblocks = Patterns.blocks pats in
   let nsb = (nblocks + width - 1) / width in
-  (* Mirrors [Faultsim.detection_sets_pooled]: each lane owns a static
+  (* Mirrors [Faultsim.detection_sets]: each lane owns a static
      slice of the pattern superblocks and writes only its blocks'
      words, so the result is bit-identical for any [jobs] and any
      [block_width]. *)

@@ -20,7 +20,7 @@ let with_kernel_name s cfg =
   | Some k -> Run_config.with_faultsim_kernel (Some k) cfg
   | None ->
       Diagnostics.fail Diagnostics.Invalid_flag
-        "unknown fault-simulation kernel %S (expected event, stem or cpt)" s
+        "unknown fault-simulation kernel %S (expected event or stem)" s
 
 let pipeline_specs =
   [
@@ -61,7 +61,7 @@ let pipeline_specs =
       names = [ "faultsim-kernel" ];
       docv = "KERNEL";
       doc =
-        "Fault-simulation kernel: event, stem or cpt (default: auto per driver). \
+        "Fault-simulation kernel: event or stem (default: auto per driver). \
          Results are bit-identical for any kernel.";
       kind = String with_kernel_name;
     };

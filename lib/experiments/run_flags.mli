@@ -36,8 +36,8 @@ val with_order_name : string -> Run_config.t -> Run_config.t
     (code [Invalid_flag]) on an unknown order name. *)
 
 val with_kernel_name : string -> Run_config.t -> Run_config.t
-(** Apply [--faultsim-kernel]'s string form ([event], [stem] or
-    [cpt]).  @raise Util.Diagnostics.Failed (code [Invalid_flag]) on an
+(** Apply [--faultsim-kernel]'s string form ([event] or [stem]).
+    @raise Util.Diagnostics.Failed (code [Invalid_flag]) on an
     unknown kernel name. *)
 
 val parse :

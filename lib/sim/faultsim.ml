@@ -4,16 +4,12 @@ module Parallel = Util.Parallel
 module Trace = Util.Trace
 module Metrics = Util.Metrics
 
-type kernel = Event | Stem | Cpt
+type kernel = Event | Stem
 
-let kernel_name = function Event -> "event" | Stem -> "stem" | Cpt -> "cpt"
-let kernel_names = [ "event"; "stem"; "cpt" ]
+let kernel_name = function Event -> "event" | Stem -> "stem"
+let kernel_names = [ "event"; "stem" ]
 
-let kernel_of_string = function
-  | "event" -> Some Event
-  | "stem" -> Some Stem
-  | "cpt" -> Some Cpt
-  | _ -> None
+let kernel_of_string = function "event" -> Some Event | "stem" -> Some Stem | _ -> None
 
 (* A workspace simulates [width] consecutive 64-pattern blocks (one
    "superblock" of up to 512 patterns) per visit.  All hot per-node
@@ -33,7 +29,7 @@ type workspace = {
   out_pos : int array;  (* node -> index in Circuit.outputs, or -1 *)
   mutable touched : int list;  (* nodes with dirty set *)
   mutable sched_nodes : int list;  (* nodes with scheduled set *)
-  (* Per-superblock observability memo for the probe kernels: node
+  (* Per-superblock observability memo for the stem kernel: node
      [n]'s lane of [obs_val] is valid iff [obs_stamp.(n) = epoch];
      bumping the epoch (once per superblock) invalidates the table. *)
   obs_val : Wordvec.t;  (* n*width *)
@@ -48,7 +44,6 @@ type workspace = {
   mutable stat_stem_toggles : int;
   mutable stat_stem_observable : int;
   mutable stat_stem_detect_words : int;
-  mutable stat_dom_truncations : int;
   mutable stat_goodsim_s : float;
 }
 
@@ -79,7 +74,6 @@ let workspace ?(width = 1) c =
     stat_stem_toggles = 0;
     stat_stem_observable = 0;
     stat_stem_detect_words = 0;
-    stat_dom_truncations = 0;
     stat_goodsim_s = 0.0;
   }
 
@@ -95,7 +89,6 @@ type sim_stats = {
   stem_toggles : int;
   stem_observable : int;
   stem_detect_words : int;
-  dom_truncations : int;
   goodsim_s : float;
 }
 
@@ -105,20 +98,18 @@ let stats ws =
     stem_toggles = ws.stat_stem_toggles;
     stem_observable = ws.stat_stem_observable;
     stem_detect_words = ws.stat_stem_detect_words;
-    dom_truncations = ws.stat_dom_truncations;
     goodsim_s = ws.stat_goodsim_s;
   }
 
 let publish_stats tr wss =
   if Trace.enabled tr then begin
-    let p = ref 0 and t = ref 0 and o = ref 0 and d = ref 0 and dt = ref 0 in
+    let p = ref 0 and t = ref 0 and o = ref 0 and d = ref 0 in
     Array.iter
       (fun ws ->
         p := !p + ws.stat_propagations;
         t := !t + ws.stat_stem_toggles;
         o := !o + ws.stat_stem_observable;
         d := !d + ws.stat_stem_detect_words;
-        dt := !dt + ws.stat_dom_truncations;
         if ws.stat_goodsim_s > 0.0 then
           Metrics.observe (Trace.histogram tr "goodsim.lane_s") ws.stat_goodsim_s)
       wss;
@@ -127,8 +118,7 @@ let publish_stats tr wss =
       Metrics.add (Trace.counter tr "faultsim.stem_toggles") !t;
       Metrics.add (Trace.counter tr "faultsim.stem_observable") !o;
       Metrics.add (Trace.counter tr "faultsim.stem_detect_words") !d
-    end;
-    if !dt > 0 then Metrics.add (Trace.counter tr "faultsim.dom_truncations") !dt
+    end
   end
 
 (* Goodsim timing accumulates into the (domain-private) workspace; the
@@ -279,95 +269,16 @@ let diverged ws ~gval node =
   in
   go 0
 
+
 (* Event-driven propagation of whatever value the site lane [n0] holds
-   (filled by {!inject} or {!inject_flip}).  With [stop < 0] the effect
-   is chased to the primary outputs and [ws.det] accumulates, per word,
-   the lanes in which any PO diverges from the good values.  With
-   [stop >= 0] only levels up to [stop]'s are processed and [ws.det]
-   holds the divergence at [stop] itself — the "reach" words of the
-   dominator-truncated kernel; nodes scheduled beyond the stop level
-   are unwound without being evaluated. *)
-let propagate_core ws ~gval ~stop n0 =
+   (filled by {!inject} or {!inject_flip}) to the primary outputs:
+   [ws.det] accumulates, per word, the lanes in which any PO diverges
+   from the good values.  With [out], each PO's divergence words are
+   also written at [output index * width + word]. *)
+let propagate_core ?out ws ~gval n0 =
   let c = ws.circuit in
   ws.stat_propagations <- ws.stat_propagations + 1;
   let wd = ws.width in
-  let to_po = stop < 0 in
-  let det = ws.det in
-  Array.fill det 0 wd 0L;
-  let record node =
-    if diverged ws ~gval node then begin
-      if not ws.dirty.(node) then begin
-        ws.dirty.(node) <- true;
-        ws.touched <- node :: ws.touched
-      end;
-      if to_po && Circuit.is_output c node then begin
-        let off = node * wd in
-        for w = 0 to wd - 1 do
-          det.(w) <-
-            Int64.logor det.(w)
-              (Int64.logxor (Wordvec.unsafe_get ws.fval (off + w))
-                 (Wordvec.unsafe_get gval (off + w)))
-        done
-      end;
-      Array.iter (fun s -> schedule ws s) (Circuit.fanouts c node)
-    end
-  in
-  record n0;
-  (* Propagate by increasing level; all fanins of a level-L node are
-     final before L is processed. *)
-  let last = if to_po then Array.length ws.buckets - 1 else Circuit.level c stop in
-  if ws.sched_nodes <> [] then
-    for l = 0 to last do
-      let pending = ws.buckets.(l) in
-      if pending <> [] then begin
-        ws.buckets.(l) <- [];
-        List.iter
-          (fun node ->
-            if node <> n0 then begin
-              eval_faulty_into ws ~gval node;
-              record node
-            end)
-          pending
-      end
-    done;
-  if (not to_po) && ws.dirty.(stop) then begin
-    let off = stop * wd in
-    for w = 0 to wd - 1 do
-      det.(w) <-
-        Int64.logxor (Wordvec.unsafe_get ws.fval (off + w)) (Wordvec.unsafe_get gval (off + w))
-    done
-  end;
-  (* Reset scratch state (including buckets past a truncated sweep). *)
-  List.iter (fun node -> ws.dirty.(node) <- false) ws.touched;
-  List.iter
-    (fun node ->
-      ws.scheduled.(node) <- false;
-      if not to_po then ws.buckets.(Circuit.level c node) <- [])
-    ws.sched_nodes;
-  ws.touched <- [];
-  ws.sched_nodes <- []
-
-let detect_superblock ws ~good (f : Fault.t) =
-  inject ws ~gval:good f;
-  propagate_core ws ~gval:good ~stop:(-1) (Fault.site_node f);
-  ws.det
-
-let detect_block ws ~good (f : Fault.t) =
-  inject ws ~gval:good f;
-  propagate_core ws ~gval:good ~stop:(-1) (Fault.site_node f);
-  ws.det.(0)
-
-(* Per-output variant of {!detect_superblock}: the same event-driven
-   sweep, but each primary output's divergence words are written into
-   [out] at [output index * width + word].  Traversal order is
-   identical, so the OR of the per-output words equals the detection
-   words bit-for-bit. *)
-let detect_block_outputs ws ~good ~out (f : Fault.t) =
-  let c = ws.circuit in
-  let wd = ws.width in
-  let gval = good in
-  Array.fill out 0 (Array.length out) 0L;
-  ws.stat_propagations <- ws.stat_propagations + 1;
   let det = ws.det in
   Array.fill det 0 wd 0L;
   let record node =
@@ -384,16 +295,16 @@ let detect_block_outputs ws ~good ~out (f : Fault.t) =
             Int64.logxor (Wordvec.unsafe_get ws.fval (off + w))
               (Wordvec.unsafe_get gval (off + w))
           in
-          out.((p * wd) + w) <- d;
+          (match out with Some o -> o.((p * wd) + w) <- d | None -> ());
           det.(w) <- Int64.logor det.(w) d
         done
       end;
       Array.iter (fun s -> schedule ws s) (Circuit.fanouts c node)
     end
   in
-  let n0 = Fault.site_node f in
-  inject ws ~gval f;
   record n0;
+  (* Propagate by increasing level; all fanins of a level-L node are
+     final before L is processed. *)
   if ws.sched_nodes <> [] then
     for l = 0 to Array.length ws.buckets - 1 do
       let pending = ws.buckets.(l) in
@@ -411,14 +322,28 @@ let detect_block_outputs ws ~good ~out (f : Fault.t) =
   List.iter (fun node -> ws.dirty.(node) <- false) ws.touched;
   List.iter (fun node -> ws.scheduled.(node) <- false) ws.sched_nodes;
   ws.touched <- [];
-  ws.sched_nodes <- [];
-  det
+  ws.sched_nodes <- []
+
+let detect_superblock ws ~good (f : Fault.t) =
+  inject ws ~gval:good f;
+  propagate_core ws ~gval:good (Fault.site_node f);
+  ws.det
+
+let detect_block ws ~good f = (detect_superblock ws ~good f).(0)
+
+(* Per-output variant of {!detect_superblock}: the same sweep, so the
+   OR of the per-output words equals the detection words bit-for-bit. *)
+let detect_block_outputs ws ~good ~out (f : Fault.t) =
+  Array.fill out 0 (Array.length out) 0L;
+  inject ws ~gval:good f;
+  propagate_core ~out ws ~gval:good (Fault.site_node f);
+  ws.det
 
 let block_mask pats b =
   let cnt = Patterns.count pats - (b * 64) in
   if cnt >= 64 then -1L else Int64.sub (Int64.shift_left 1L cnt) 1L
 
-(* --- probe kernels: stem-first and critical-path tracing ---------- *)
+(* --- stem kernel: site-probe observability ------------------------- *)
 
 (* Gate output of [node] with every pin fed by [x] complemented (a gate
    may read the same signal on several pins); other pins read good
@@ -461,8 +386,6 @@ let eval_flip_into c ~gval ~wd ~dst node x =
   | Gate.Xor -> fold Int64.logxor 0L false
   | Gate.Xnor -> fold Int64.logxor 0L true
 
-let no_ipdom : int array = [||]
-
 (* Observability of a flip at [n]: per word, the lanes in which
    complementing [n]'s value changes some primary output.  Memoised
    per superblock in the arena; each of the 64*width lanes is an
@@ -473,17 +396,9 @@ let no_ipdom : int array = [||]
    - a node with a unique consumer [g] is observed iff the flip passes
      through [g] (local re-evaluation) and [g] is observed — the
      classic stem-first sensitization step;
-   - a multi-fanout stem needs real propagation.  The stem-first
-     kernel ([ipdom] empty) pays one full event-driven propagation per
-     superblock.  The critical-path-tracing kernel truncates that
-     propagation at the stem's immediate post-dominator [d]: every
-     output-bound path funnels through [d], corruption that misses [d]
-     is observably dead, and nodes past [d] read good side-input
-     values — so [obs(n) = reach(n -> d) AND obs(d)] exactly, and the
-     chain grounds at a PO or a sink-dominated stem.  Dominator
-     segments shared by several stems are computed once per
+   - a multi-fanout stem pays one full event-driven propagation per
      superblock. *)
-let rec obs_ensure ws ~gval ~ipdom n =
+let rec obs_ensure ws ~gval n =
   if ws.obs_stamp.(n) <> ws.epoch then begin
     let c = ws.circuit in
     let wd = ws.width in
@@ -492,11 +407,6 @@ let rec obs_ensure ws ~gval ~ipdom n =
     let store_zero () =
       for w = 0 to wd - 1 do
         Wordvec.unsafe_set ov (off + w) 0L
-      done
-    in
-    let store_det () =
-      for w = 0 to wd - 1 do
-        Wordvec.unsafe_set ov (off + w) ws.det.(w)
       done
     in
     (if Circuit.is_output c n then
@@ -521,7 +431,7 @@ let rec obs_ensure ws ~gval ~ipdom n =
            done;
            if not !any then store_zero ()
            else begin
-             obs_ensure ws ~gval ~ipdom g;
+             obs_ensure ws ~gval g;
              let goff = g * wd in
              for w = 0 to wd - 1 do
                Wordvec.unsafe_set ov (off + w)
@@ -530,35 +440,15 @@ let rec obs_ensure ws ~gval ~ipdom n =
            end
        | _ ->
            ws.stat_stem_toggles <- ws.stat_stem_toggles + 1;
-           let full_propagate () =
-             inject_flip ws ~gval n;
-             propagate_core ws ~gval ~stop:(-1) n;
-             store_det ()
-           in
-           (if Array.length ipdom = 0 then full_propagate ()
-            else
-              match ipdom.(n) with
-              | -2 -> store_zero ()
-              | -1 -> full_propagate ()
-              | d ->
-                  ws.stat_dom_truncations <- ws.stat_dom_truncations + 1;
-                  inject_flip ws ~gval n;
-                  propagate_core ws ~gval ~stop:d n;
-                  let reach = Array.copy ws.det in
-                  if Array.for_all (fun w -> w = 0L) reach then store_zero ()
-                  else begin
-                    obs_ensure ws ~gval ~ipdom d;
-                    let doff = d * wd in
-                    for w = 0 to wd - 1 do
-                      Wordvec.unsafe_set ov (off + w)
-                        (Int64.logand reach.(w) (Wordvec.unsafe_get ov (doff + w)))
-                    done
-                  end);
-           let anyw = ref false in
+           inject_flip ws ~gval n;
+           propagate_core ws ~gval n;
+           let any = ref false in
            for w = 0 to wd - 1 do
-             if Wordvec.unsafe_get ov (off + w) <> 0L then anyw := true
+             let d = ws.det.(w) in
+             Wordvec.unsafe_set ov (off + w) d;
+             if d <> 0L then any := true
            done;
-           if !anyw then ws.stat_stem_observable <- ws.stat_stem_observable + 1);
+           if !any then ws.stat_stem_observable <- ws.stat_stem_observable + 1);
     ws.obs_stamp.(n) <- ws.epoch
   end
 
@@ -570,7 +460,7 @@ let rec obs_ensure ws ~gval ~ipdom n =
    observability lane is shared ("probed" once) by every fault of the
    site, which is the re-expansion step of the collapsed-universe
    simulation.  Fills [ws.det]. *)
-let detect_probe ws ~gval ~ipdom (f : Fault.t) =
+let detect_probe ws ~gval (f : Fault.t) =
   let n = Fault.site_node f in
   let wd = ws.width in
   let off = n * wd in
@@ -583,7 +473,7 @@ let detect_probe ws ~gval ~ipdom (f : Fault.t) =
   done;
   if not !any then Array.fill ws.det 0 wd 0L
   else begin
-    obs_ensure ws ~gval ~ipdom n;
+    obs_ensure ws ~gval n;
     let anyd = ref false in
     let det = ws.det in
     for w = 0 to wd - 1 do
@@ -594,21 +484,20 @@ let detect_probe ws ~gval ~ipdom (f : Fault.t) =
     if !anyd then ws.stat_stem_detect_words <- ws.stat_stem_detect_words + 1
   end
 
-(* Per-circuit structural tables a kernel needs. *)
-let kernel_ipdom c = function
-  | Event | Stem -> no_ipdom
-  | Cpt -> Dominators.ipdom_raw (Dominators.compute c)
-
 (* Fill [ws.det] with the fault's detection words for the current
    superblock. *)
-let detect_with ws ~kernel ~ipdom ~gval f =
+let detect_with ws ~kernel ~gval f =
   match kernel with
   | Event ->
       inject ws ~gval f;
-      propagate_core ws ~gval ~stop:(-1) (Fault.site_node f)
-  | Stem | Cpt -> detect_probe ws ~gval ~ipdom f
+      propagate_core ws ~gval (Fault.site_node f)
+  | Stem -> detect_probe ws ~gval f
 
 (* --- whole-pattern-set drivers ------------------------------------ *)
+
+(* One driver per mode, each over a {!Util.Parallel} pool of
+   [max 1 jobs] lanes; a one-lane pool spawns no domain and runs its
+   single task inline. *)
 
 let superblocks nblocks width = (nblocks + width - 1) / width
 
@@ -618,56 +507,33 @@ let sim_attrs kernel fl pats jobs width =
     ("patterns", Trace.Int (Patterns.count pats)); ("jobs", Trace.Int jobs);
     ("block_width", Trace.Int width) ]
 
-let detection_sets_serial ~kernel ~width fl pats =
-  let tr = Trace.current () in
-  let observed = Trace.enabled tr in
-  Trace.span tr ~attrs:(sim_attrs kernel fl pats 1 width) "faultsim.detection_sets"
-  @@ fun () ->
-  let c = Fault_list.circuit fl in
-  let ws = workspace ~width c in
-  let ipdom = kernel_ipdom c kernel in
-  let nf = Fault_list.count fl in
-  let cnt = Patterns.count pats in
-  let dsets = Array.init nf (fun _ -> Bitvec.create cnt) in
-  let gval = good_arena ws in
-  let nblocks = Patterns.blocks pats in
-  for sb = 0 to superblocks nblocks width - 1 do
-    timed_goodsim observed ws pats sb gval;
-    new_block ws;
-    let b0 = sb * width in
-    let lim = min width (nblocks - b0) in
-    for fi = 0 to nf - 1 do
-      detect_with ws ~kernel ~ipdom ~gval (Fault_list.get fl fi);
-      let det = ws.det in
-      for w = 0 to lim - 1 do
-        let b = b0 + w in
-        let d = Int64.logand det.(w) (block_mask pats b) in
-        if d <> 0L then (Bitvec.words dsets.(fi)).(b) <- d
-      done
-    done
-  done;
-  publish_stats tr [| ws |];
-  dsets
+(* Kernel defaults preserve the historical behaviour: [detection_sets]
+   is plain per-fault event propagation on one lane and rides the stem
+   kernel on a wider pool; the dropping-family drivers stay
+   event-driven unless a kernel is requested. *)
+let auto_detection_kernel jobs = if jobs <= 1 then Event else Stem
 
-(* Probe simulation over a pool.  Detection sets have no cross-block
-   dependency, so each lane owns a static slice of the superblocks —
-   private workspace and good-value arena, one fork-join for the whole
-   run — and writes only its own blocks' words of each detection set.
-   Every (fault, block) word is computed by exactly one lane and its
-   value depends only on (circuit, fault, block), so the result is
-   bit-identical to the serial path regardless of scheduling. *)
-let detection_sets_pooled ~kernel ~width pool fl pats =
+(* Detection sets have no cross-block dependency, so each lane owns a
+   static slice of the superblocks — private workspace and good-value
+   arena, one fork-join for the whole run — and writes only its own
+   blocks' words of each detection set.  Every (fault, block) word is
+   computed by exactly one lane and its value depends only on
+   (circuit, fault, block), so the result is bit-identical for any
+   pool size regardless of scheduling. *)
+let detection_sets ?(jobs = 1) ?kernel ?(block_width = 1) fl pats =
+  if block_width < 1 then invalid_arg "Faultsim.detection_sets: block_width must be positive";
+  let kernel = match kernel with Some k -> k | None -> auto_detection_kernel jobs in
+  let width = block_width in
   let tr = Trace.current () in
   let observed = Trace.enabled tr in
+  Parallel.with_pool ~jobs:(max 1 jobs) @@ fun pool ->
   Trace.span tr
     ~attrs:(sim_attrs kernel fl pats (Parallel.jobs pool) width)
     "faultsim.detection_sets"
   @@ fun () ->
   let c = Fault_list.circuit fl in
-  let ipdom = kernel_ipdom c kernel in
   let nf = Fault_list.count fl in
-  let cnt = Patterns.count pats in
-  let dsets = Array.init nf (fun _ -> Bitvec.create cnt) in
+  let dsets = Array.init nf (fun _ -> Bitvec.create (Patterns.count pats)) in
   let nblocks = Patterns.blocks pats in
   let nsb = superblocks nblocks width in
   let k = min (Parallel.jobs pool) (max nsb 1) in
@@ -683,7 +549,7 @@ let detection_sets_pooled ~kernel ~width pool fl pats =
             let b0 = sb * width in
             let lim = min width (nblocks - b0) in
             for fi = 0 to nf - 1 do
-              detect_with ws ~kernel ~ipdom ~gval (Fault_list.get fl fi);
+              detect_with ws ~kernel ~gval (Fault_list.get fl fi);
               let det = ws.det in
               for w = 0 to lim - 1 do
                 let b = b0 + w in
@@ -695,24 +561,6 @@ let detection_sets_pooled ~kernel ~width pool fl pats =
   publish_stats tr wss;
   dsets
 
-(* Kernel defaults preserve the historical behaviour: serial
-   [detection_sets] is plain per-fault event propagation, the pooled
-   path rides the stem-first kernel, and the dropping-family drivers
-   stay event-driven unless a kernel is requested. *)
-let auto_detection_kernel jobs = if jobs <= 1 then Event else Stem
-
-let detection_sets ?(jobs = 1) ?kernel ?(block_width = 1) fl pats =
-  if block_width < 1 then invalid_arg "Faultsim.detection_sets: block_width must be positive";
-  let k = match kernel with Some k -> k | None -> auto_detection_kernel jobs in
-  if jobs <= 1 then detection_sets_serial ~kernel:k ~width:block_width fl pats
-  else
-    Parallel.with_pool ~jobs (fun pool ->
-        detection_sets_pooled ~kernel:k ~width:block_width pool fl pats)
-
-let detection_sets_stem_first ?(block_width = 1) fl pats =
-  Parallel.with_pool ~jobs:1 (fun pool ->
-      detection_sets_pooled ~kernel:Stem ~width:block_width pool fl pats)
-
 let ndet dsets pats =
   let counts = Array.make (Patterns.count pats) 0 in
   Array.iter (fun d -> Bitvec.iter_set d (fun p -> counts.(p) <- counts.(p) + 1)) dsets;
@@ -721,26 +569,65 @@ let ndet dsets pats =
 type drop_result = { first_detection : int array; detected : int }
 
 (* Per-superblock scan of the live faults over a pool: detection words
-   are produced in parallel on static slices of the alive array, then
-   merged serially in alive order — the same order the serial loop
-   visits, so dropping decisions are identical. *)
-let scan_alive ~kernel ~ipdom ~width pool wss fl ~gval alive det =
+   are produced in parallel on static slices of the alive array into
+   [det] (fault [alive.(i)] at [i * width]). *)
+let scan_alive ~kernel ~width pool wss fl ~gval alive det =
   let n = Array.length alive in
-  let lanes = Parallel.jobs pool in
-  let k = min lanes (max n 1) in
+  let k = min (Parallel.jobs pool) (max n 1) in
   Parallel.run pool
     (Array.init k (fun lane ->
          fun () ->
           let ws = wss.(lane) in
           let lo = lane * n / k and hi = (lane + 1) * n / k in
           for i = lo to hi - 1 do
-            detect_with ws ~kernel ~ipdom ~gval (Fault_list.get fl alive.(i));
+            detect_with ws ~kernel ~gval (Fault_list.get fl alive.(i));
             Array.blit ws.det 0 det (i * width) width
           done))
 
+(* The dropping family's one driver.  Superblock by superblock, the
+   live faults' words come from {!scan_alive}; then, serially and in
+   alive order, [absorb ~b0 ~lim fi det doff] folds fault [fi]'s words
+   (at [det.(doff)]) into the caller's result and says whether [fi]
+   stays live.  Absorbing scans a superblock's words in increasing
+   block order, so every dropping decision matches the width-1 scan
+   and no result depends on the pool size. *)
+let drop_scan ~name ?(attrs = []) ~jobs ~kernel ~width fl pats absorb =
+  let tr = Trace.current () in
+  let observed = Trace.enabled tr in
+  Parallel.with_pool ~jobs:(max 1 jobs) @@ fun pool ->
+  Trace.span tr ~attrs:(attrs @ sim_attrs kernel fl pats (Parallel.jobs pool) width) name
+  @@ fun () ->
+  let c = Fault_list.circuit fl in
+  let nf = Fault_list.count fl in
+  let wss = Array.init (min (Parallel.jobs pool) (max nf 1)) (fun _ -> workspace ~width c) in
+  let det = Array.make (nf * width) 0L in
+  let gval = good_arena wss.(0) in
+  let alive = ref (Array.init nf Fun.id) in
+  let nblocks = Patterns.blocks pats in
+  let nsb = superblocks nblocks width in
+  let sb = ref 0 in
+  while !sb < nsb && Array.length !alive > 0 do
+    timed_goodsim observed wss.(0) pats !sb gval;
+    Array.iter new_block wss;
+    let b0 = !sb * width in
+    let lim = min width (nblocks - b0) in
+    let a = !alive in
+    scan_alive ~kernel ~width pool wss fl ~gval a det;
+    let live = ref 0 in
+    Array.iteri
+      (fun i fi ->
+        if absorb ~b0 ~lim fi det (i * width) then begin
+          a.(!live) <- fi;
+          incr live
+        end)
+      a;
+    alive := Array.sub a 0 !live;
+    incr sb
+  done;
+  publish_stats tr wss
+
 (* First detecting pattern among words [0 .. lim-1] of the superblock
-   starting at block [b0], or -1: words are scanned in increasing
-   block order, so the index matches the width-1 scan exactly. *)
+   starting at block [b0], or -1. *)
 let first_in_words pats ~b0 ~lim det doff =
   let rec go w =
     if w >= lim then -1
@@ -751,181 +638,33 @@ let first_in_words pats ~b0 ~lim det doff =
   in
   go 0
 
-let with_dropping_serial ~kernel ~width fl pats =
-  let tr = Trace.current () in
-  let observed = Trace.enabled tr in
-  Trace.span tr ~attrs:(sim_attrs kernel fl pats 1 width) "faultsim.with_dropping"
-  @@ fun () ->
-  let c = Fault_list.circuit fl in
-  let ws = workspace ~width c in
-  let ipdom = kernel_ipdom c kernel in
-  let nf = Fault_list.count fl in
-  let first = Array.make nf (-1) in
-  let detected = ref 0 in
-  let alive = ref (List.init nf Fun.id) in
-  let gval = good_arena ws in
-  let sb = ref 0 in
-  let nblocks = Patterns.blocks pats in
-  let nsb = superblocks nblocks width in
-  while !sb < nsb && !alive <> [] do
-    timed_goodsim observed ws pats !sb gval;
-    new_block ws;
-    let b0 = !sb * width in
-    let lim = min width (nblocks - b0) in
-    alive :=
-      List.filter
-        (fun fi ->
-          detect_with ws ~kernel ~ipdom ~gval (Fault_list.get fl fi);
-          let p = first_in_words pats ~b0 ~lim ws.det 0 in
-          if p < 0 then true
-          else begin
-            first.(fi) <- p;
-            incr detected;
-            false
-          end)
-        !alive;
-    incr sb
-  done;
-  publish_stats tr [| ws |];
-  { first_detection = first; detected = !detected }
-
-let with_dropping_pooled ~kernel ~width pool fl pats =
-  let tr = Trace.current () in
-  let observed = Trace.enabled tr in
-  Trace.span tr
-    ~attrs:(sim_attrs kernel fl pats (Parallel.jobs pool) width)
-    "faultsim.with_dropping"
-  @@ fun () ->
-  let c = Fault_list.circuit fl in
-  let ipdom = kernel_ipdom c kernel in
-  let lanes = Parallel.jobs pool in
-  let wss = Array.init lanes (fun _ -> workspace ~width c) in
-  let nf = Fault_list.count fl in
-  let first = Array.make nf (-1) in
-  let detected = ref 0 in
-  let alive = ref (Array.init nf Fun.id) in
-  let det = Array.make (nf * width) 0L in
-  let gval = good_arena wss.(0) in
-  let sb = ref 0 in
-  let nblocks = Patterns.blocks pats in
-  let nsb = superblocks nblocks width in
-  while !sb < nsb && Array.length !alive > 0 do
-    timed_goodsim observed wss.(0) pats !sb gval;
-    Array.iter new_block wss;
-    let b0 = !sb * width in
-    let lim = min width (nblocks - b0) in
-    let a = !alive in
-    scan_alive ~kernel ~ipdom ~width pool wss fl ~gval a det;
-    let next = ref [] in
-    for i = Array.length a - 1 downto 0 do
-      let p = first_in_words pats ~b0 ~lim det (i * width) in
-      if p < 0 then next := a.(i) :: !next
-      else begin
-        first.(a.(i)) <- p;
-        incr detected
-      end
-    done;
-    alive := Array.of_list !next;
-    incr sb
-  done;
-  publish_stats tr wss;
-  { first_detection = first; detected = !detected }
-
 let with_dropping ?(jobs = 1) ?(kernel = Event) ?(block_width = 1) fl pats =
   if block_width < 1 then invalid_arg "Faultsim.with_dropping: block_width must be positive";
-  if jobs <= 1 then with_dropping_serial ~kernel ~width:block_width fl pats
-  else
-    Parallel.with_pool ~jobs (fun pool ->
-        with_dropping_pooled ~kernel ~width:block_width pool fl pats)
-
-(* Fold one superblock's detection words into an n-capped count, words
-   in increasing block order — the same per-block updates the width-1
-   loop applies, so counts (and drop decisions) are identical. *)
-let count_words pats ~b0 ~lim ~n counts fi det doff =
-  for w = 0 to lim - 1 do
-    let d = Int64.logand det.(doff + w) (block_mask pats (b0 + w)) in
-    if d <> 0L then counts.(fi) <- min n (counts.(fi) + Bitvec.popcount_word d)
-  done
-
-let n_detection_serial ~kernel ~width fl pats ~n =
-  let tr = Trace.current () in
-  let observed = Trace.enabled tr in
-  Trace.span tr
-    ~attrs:(("n", Trace.Int n) :: sim_attrs kernel fl pats 1 width)
-    "faultsim.n_detection"
-  @@ fun () ->
-  let c = Fault_list.circuit fl in
-  let ws = workspace ~width c in
-  let ipdom = kernel_ipdom c kernel in
-  let nf = Fault_list.count fl in
-  let counts = Array.make nf 0 in
-  let gval = good_arena ws in
-  let alive = ref (List.init nf Fun.id) in
-  let sb = ref 0 in
-  let nblocks = Patterns.blocks pats in
-  let nsb = superblocks nblocks width in
-  while !sb < nsb && !alive <> [] do
-    timed_goodsim observed ws pats !sb gval;
-    new_block ws;
-    let b0 = !sb * width in
-    let lim = min width (nblocks - b0) in
-    alive :=
-      List.filter
-        (fun fi ->
-          detect_with ws ~kernel ~ipdom ~gval (Fault_list.get fl fi);
-          count_words pats ~b0 ~lim ~n counts fi ws.det 0;
-          counts.(fi) < n)
-        !alive;
-    incr sb
-  done;
-  publish_stats tr [| ws |];
-  counts
-
-let n_detection_pooled ~kernel ~width pool fl pats ~n =
-  let tr = Trace.current () in
-  let observed = Trace.enabled tr in
-  Trace.span tr
-    ~attrs:(("n", Trace.Int n) :: sim_attrs kernel fl pats (Parallel.jobs pool) width)
-    "faultsim.n_detection"
-  @@ fun () ->
-  let c = Fault_list.circuit fl in
-  let ipdom = kernel_ipdom c kernel in
-  let lanes = Parallel.jobs pool in
-  let wss = Array.init lanes (fun _ -> workspace ~width c) in
-  let nf = Fault_list.count fl in
-  let counts = Array.make nf 0 in
-  let gval = good_arena wss.(0) in
-  let alive = ref (Array.init nf Fun.id) in
-  let det = Array.make (nf * width) 0L in
-  let sb = ref 0 in
-  let nblocks = Patterns.blocks pats in
-  let nsb = superblocks nblocks width in
-  while !sb < nsb && Array.length !alive > 0 do
-    timed_goodsim observed wss.(0) pats !sb gval;
-    Array.iter new_block wss;
-    let b0 = !sb * width in
-    let lim = min width (nblocks - b0) in
-    let a = !alive in
-    scan_alive ~kernel ~ipdom ~width pool wss fl ~gval a det;
-    let next = ref [] in
-    for i = Array.length a - 1 downto 0 do
-      let fi = a.(i) in
-      count_words pats ~b0 ~lim ~n counts fi det (i * width);
-      if counts.(fi) < n then next := fi :: !next
-    done;
-    alive := Array.of_list !next;
-    incr sb
-  done;
-  publish_stats tr wss;
-  counts
+  let first = Array.make (Fault_list.count fl) (-1) in
+  let detected = ref 0 in
+  drop_scan ~name:"faultsim.with_dropping" ~jobs ~kernel ~width:block_width fl pats
+    (fun ~b0 ~lim fi det doff ->
+      let p = first_in_words pats ~b0 ~lim det doff in
+      p < 0
+      || begin
+           first.(fi) <- p;
+           incr detected;
+           false
+         end);
+  { first_detection = first; detected = !detected }
 
 let n_detection ?(jobs = 1) ?(kernel = Event) ?(block_width = 1) fl pats ~n =
   if n <= 0 then invalid_arg "Faultsim.n_detection: n must be positive";
   if block_width < 1 then invalid_arg "Faultsim.n_detection: block_width must be positive";
-  if jobs <= 1 then n_detection_serial ~kernel ~width:block_width fl pats ~n
-  else
-    Parallel.with_pool ~jobs (fun pool ->
-        n_detection_pooled ~kernel ~width:block_width pool fl pats ~n)
+  let counts = Array.make (Fault_list.count fl) 0 in
+  drop_scan ~name:"faultsim.n_detection" ~attrs:[ ("n", Trace.Int n) ] ~jobs ~kernel
+    ~width:block_width fl pats (fun ~b0 ~lim fi det doff ->
+      for w = 0 to lim - 1 do
+        let d = Int64.logand det.(doff + w) (block_mask pats (b0 + w)) in
+        if d <> 0L then counts.(fi) <- min n (counts.(fi) + Bitvec.popcount_word d)
+      done;
+      counts.(fi) < n);
+  counts
 
 (* Keep only the earliest detections of [d] up to the cap. *)
 let keep_capped counts fi ~n d =
@@ -938,99 +677,22 @@ let keep_capped counts fi ~n d =
   done;
   !kept
 
-(* Cap one superblock's detection words into the fault's detection
-   set, words in increasing block order. *)
-let cap_words pats ~b0 ~lim ~n counts fi det doff dset =
-  for w = 0 to lim - 1 do
-    let b = b0 + w in
-    let d = Int64.logand det.(doff + w) (block_mask pats b) in
-    if d <> 0L then (Bitvec.words dset).(b) <- keep_capped counts fi ~n d
-  done
-
-let detection_sets_capped_serial ~kernel ~width fl pats ~n =
-  let tr = Trace.current () in
-  let observed = Trace.enabled tr in
-  Trace.span tr
-    ~attrs:(("n", Trace.Int n) :: sim_attrs kernel fl pats 1 width)
-    "faultsim.detection_sets_capped"
-  @@ fun () ->
-  let c = Fault_list.circuit fl in
-  let ws = workspace ~width c in
-  let ipdom = kernel_ipdom c kernel in
-  let nf = Fault_list.count fl in
-  let cnt = Patterns.count pats in
-  let dsets = Array.init nf (fun _ -> Bitvec.create cnt) in
-  let counts = Array.make nf 0 in
-  let gval = good_arena ws in
-  let alive = ref (List.init nf Fun.id) in
-  let sb = ref 0 in
-  let nblocks = Patterns.blocks pats in
-  let nsb = superblocks nblocks width in
-  while !sb < nsb && !alive <> [] do
-    timed_goodsim observed ws pats !sb gval;
-    new_block ws;
-    let b0 = !sb * width in
-    let lim = min width (nblocks - b0) in
-    alive :=
-      List.filter
-        (fun fi ->
-          detect_with ws ~kernel ~ipdom ~gval (Fault_list.get fl fi);
-          cap_words pats ~b0 ~lim ~n counts fi ws.det 0 dsets.(fi);
-          counts.(fi) < n)
-        !alive;
-    incr sb
-  done;
-  publish_stats tr [| ws |];
-  dsets
-
-let detection_sets_capped_pooled ~kernel ~width pool fl pats ~n =
-  let tr = Trace.current () in
-  let observed = Trace.enabled tr in
-  Trace.span tr
-    ~attrs:(("n", Trace.Int n) :: sim_attrs kernel fl pats (Parallel.jobs pool) width)
-    "faultsim.detection_sets_capped"
-  @@ fun () ->
-  let c = Fault_list.circuit fl in
-  let ipdom = kernel_ipdom c kernel in
-  let lanes = Parallel.jobs pool in
-  let wss = Array.init lanes (fun _ -> workspace ~width c) in
-  let nf = Fault_list.count fl in
-  let cnt = Patterns.count pats in
-  let dsets = Array.init nf (fun _ -> Bitvec.create cnt) in
-  let counts = Array.make nf 0 in
-  let gval = good_arena wss.(0) in
-  let alive = ref (Array.init nf Fun.id) in
-  let det = Array.make (nf * width) 0L in
-  let sb = ref 0 in
-  let nblocks = Patterns.blocks pats in
-  let nsb = superblocks nblocks width in
-  while !sb < nsb && Array.length !alive > 0 do
-    timed_goodsim observed wss.(0) pats !sb gval;
-    Array.iter new_block wss;
-    let b0 = !sb * width in
-    let lim = min width (nblocks - b0) in
-    let a = !alive in
-    scan_alive ~kernel ~ipdom ~width pool wss fl ~gval a det;
-    let next = ref [] in
-    for i = Array.length a - 1 downto 0 do
-      let fi = a.(i) in
-      cap_words pats ~b0 ~lim ~n counts fi det (i * width) dsets.(fi);
-      if counts.(fi) < n then next := fi :: !next
-    done;
-    alive := Array.of_list !next;
-    incr sb
-  done;
-  publish_stats tr wss;
-  dsets
-
 let detection_sets_capped ?(jobs = 1) ?(kernel = Event) ?(block_width = 1) fl pats ~n =
   if n <= 0 then invalid_arg "Faultsim.detection_sets_capped: n must be positive";
   if block_width < 1 then
     invalid_arg "Faultsim.detection_sets_capped: block_width must be positive";
-  if jobs <= 1 then detection_sets_capped_serial ~kernel ~width:block_width fl pats ~n
-  else
-    Parallel.with_pool ~jobs (fun pool ->
-        detection_sets_capped_pooled ~kernel ~width:block_width pool fl pats ~n)
+  let nf = Fault_list.count fl in
+  let dsets = Array.init nf (fun _ -> Bitvec.create (Patterns.count pats)) in
+  let counts = Array.make nf 0 in
+  drop_scan ~name:"faultsim.detection_sets_capped" ~attrs:[ ("n", Trace.Int n) ] ~jobs ~kernel
+    ~width:block_width fl pats (fun ~b0 ~lim fi det doff ->
+      for w = 0 to lim - 1 do
+        let b = b0 + w in
+        let d = Int64.logand det.(doff + w) (block_mask pats b) in
+        if d <> 0L then (Bitvec.words dsets.(fi)).(b) <- keep_capped counts fi ~n d
+      done;
+      counts.(fi) < n);
+  dsets
 
 let detects c f pi_values =
   if Array.length pi_values <> Array.length (Circuit.inputs c) then

@@ -3,7 +3,7 @@
     The engine is parallel-pattern single-fault propagation (PPSFP): a
     {e superblock} of [width] consecutive 64-pattern blocks (64 to 512
     patterns) is simulated fault-free per pass, then per-fault
-    detection words are derived by one of three kernels:
+    detection words are derived by one of two kernels:
 
     - {b event} — inject each fault and propagate its effect
       event-driven through the levelised fanout cone, comparing
@@ -17,14 +17,6 @@
       ("probe"), shared by every fault injecting at that site; chains
       of single-consumer nodes pay a local gate re-evaluation each,
       and only multi-fanout stems pay a real propagation.
-    - {b cpt} — critical-path tracing: the stem kernel with each
-      multi-fanout propagation truncated at the stem's immediate
-      post-dominator ({!Dominators}):
-      [obs(n) = reach(n -> ipdom n) AND obs(ipdom n)].  Every
-      output-bound path funnels through the post-dominator, so
-      corruption that misses it is observably dead, and divergence at
-      the post-dominator is exact because its fanins are final when
-      its level is processed.
 
     {b Wide blocks.}  All hot per-node state (faulty values and the
     observability memo) lives in one flat {!Util.Wordvec} Bigarray
@@ -39,26 +31,24 @@
     n-detection capping and first-detection indices also match the
     narrow scan exactly.
 
-    All three kernels produce {e bit-identical} detection words for
+    Both kernels produce {e bit-identical} detection words for
     every fault; they differ only in work per word.  Observability
     counters ({!sim_stats}) are advisory and may differ across widths
     (memo short-circuits fire per superblock rather than per block).
 
-    Every driver takes an optional [?jobs] argument (default 1).  With
-    [jobs = 1] a single workspace runs the serial loops — the
-    reference implementation.  With [jobs > 1] the work is spread over
-    a {!Util.Parallel} domain pool: each domain owns a private
-    {!workspace} and a static slice of the work while all domains
-    share read-only inputs, and detection words are merged in a fixed
-    order, so results are bit-identical to the serial path regardless
-    of scheduling.
+    There is one driver per mode.  Each takes an optional [?jobs]
+    argument (default 1) and runs over a {!Util.Parallel} pool of that
+    many lanes (a one-lane pool spawns no domain and runs inline): each
+    lane owns a private {!workspace} and a static slice of the work
+    while all lanes share read-only inputs, and detection words are
+    merged in a fixed order, so results are bit-identical for every
+    [jobs] regardless of scheduling.
 
     All entry points require a combinational circuit. *)
 
 type kernel =
   | Event  (** per-fault event-driven propagation *)
   | Stem  (** memoised site-probe observability, full stem propagation *)
-  | Cpt  (** site-probe observability truncated at post-dominators *)
 
 val kernel_name : kernel -> string
 val kernel_names : string list
@@ -119,10 +109,9 @@ val detect_block_outputs :
 
 type sim_stats = {
   propagations : int;  (** event-driven propagation passes *)
-  stem_toggles : int;  (** probe kernels: multi-fanout stems probed *)
+  stem_toggles : int;  (** stem kernel: multi-fanout stems probed *)
   stem_observable : int;  (** …of which some lane reached an output *)
   stem_detect_words : int;  (** nonzero per-fault detection superblocks emitted *)
-  dom_truncations : int;  (** cpt kernel: propagations truncated at a post-dominator *)
   goodsim_s : float;  (** seconds inside good simulation (0 unless tracing) *)
 }
 
@@ -130,11 +119,10 @@ val stats : workspace -> sim_stats
 
 val publish_stats : Util.Trace.t -> workspace array -> unit
 (** Sum the workspaces' counters into the tracer's metrics registry
-    ([faultsim.propagations], [faultsim.stem_*],
-    [faultsim.dom_truncations], per-lane [goodsim.lane_s] histogram
-    samples).  No-op on a disabled tracer.  The whole-set drivers below
-    call this themselves; it is exported for callers that drive
-    {!detect_block} directly (the ATPG engine). *)
+    ([faultsim.propagations], [faultsim.stem_*], per-lane
+    [goodsim.lane_s] histogram samples).  No-op on a disabled tracer.
+    The whole-set drivers below call this themselves; it is exported
+    for callers that drive {!detect_block} directly (the ATPG engine). *)
 
 (** {1 Whole-pattern-set drivers}
 
@@ -154,11 +142,6 @@ val detection_sets :
 (** Simulation {e without fault dropping}: for every fault [f] the full
     detection set [D(f)] over all patterns — the input the accidental
     detection index is computed from. *)
-
-val detection_sets_stem_first :
-  ?block_width:int -> Fault_list.t -> Patterns.t -> Util.Bitvec.t array
-(** [detection_sets ~kernel:Stem] on a single pooled domain; kept as a
-    named entry point for benchmarks and tests. *)
 
 val ndet : Util.Bitvec.t array -> Patterns.t -> int array
 (** [ndet dsets pats] gives [ndet(u)] — the number of faults detected

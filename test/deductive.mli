@@ -9,12 +9,11 @@
     (union); parity gates flip on an odd number of flipped inputs
     (symmetric difference).
 
-    This is a second, independent implementation of fault simulation
-    semantics; the test suite checks it produces bit-identical
-    detection sets to the event-driven {!Faultsim}, and the ablation
-    bench compares their cost profiles (deductive does all faults in
-    one pass but one pattern at a time; PPSFP does 64 patterns at a
-    time but one fault per propagation). *)
+    A test oracle: a second, independent implementation of fault
+    simulation semantics (all faults in one pass, one pattern at a
+    time, where {!Faultsim} does 64 patterns at a time, one fault per
+    propagation).  The suite checks it produces bit-identical
+    detection sets to the event-driven {!Faultsim}. *)
 
 val fault_lists : Fault_list.t -> bool array -> Util.Bitvec.t array
 (** [fault_lists fl vec] simulates one input vector and returns, per

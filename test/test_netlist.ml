@@ -175,94 +175,6 @@ let ffr_regions_partition =
   && Ffr.average_size ffr
      = float_of_int (Circuit.node_count c) /. float_of_int (Ffr.region_count ffr)
 
-(* --- post-dominators ---------------------------------------------- *)
-
-(* Reconvergent diamond: a fans out to l and r, both feeding m.  Every
-   output-bound path from a funnels through m. *)
-let diamond () =
-  let b = B.create ~title:"diamond" () in
-  let a = B.input b "a" in
-  let l = B.gate b Gate.Not "l" [ a ] in
-  let r = B.gate b Gate.Buf "r" [ a ] in
-  let m = B.gate b Gate.And "m" [ l; r ] in
-  B.mark_output b m;
-  (B.finish b, a, l, r, m)
-
-let dominators_diamond () =
-  let c, a, l, r, m = diamond () in
-  let d = Dominators.compute c in
-  check Alcotest.bool "ipdom a = m" true (Dominators.ipdom d a = Dominators.Node m);
-  check Alcotest.bool "ipdom l = m" true (Dominators.ipdom d l = Dominators.Node m);
-  check Alcotest.bool "ipdom r = m" true (Dominators.ipdom d r = Dominators.Node m);
-  check Alcotest.bool "ipdom m = sink" true (Dominators.ipdom d m = Dominators.Sink);
-  check Alcotest.(list int) "chain a" [ m ] (Dominators.chain d a)
-
-let dominators_two_outputs () =
-  (* A stem feeding two separate outputs shares no later node: its
-     only post-dominator is the virtual sink. *)
-  let b = B.create () in
-  let a = B.input b "a" in
-  let x = B.gate b Gate.Not "x" [ a ] in
-  let y = B.gate b Gate.Buf "y" [ a ] in
-  B.mark_output b x;
-  B.mark_output b y;
-  let c = B.finish b in
-  let d = Dominators.compute c in
-  check Alcotest.bool "ipdom a = sink" true (Dominators.ipdom d a = Dominators.Sink);
-  check Alcotest.bool "a reaches" true (Dominators.reaches_output d a)
-
-let dominators_dead_and_chain () =
-  let b = B.create () in
-  let a = B.input b "a" in
-  let dead = B.gate b Gate.Not "dead" [ a ] in
-  let x = B.gate b Gate.Buf "x" [ a ] in
-  let y = B.gate b Gate.Not "y" [ x ] in
-  B.mark_output b y;
-  let c = B.finish b in
-  ignore dead;
-  let d = Dominators.compute c in
-  let dead = Option.get (Circuit.find c "dead") in
-  check Alcotest.bool "dead node is dead" true (Dominators.is_dead d dead);
-  check Alcotest.bool "dead does not reach" false (Dominators.reaches_output d dead);
-  (* [a] also feeds the dead branch, but dead successors constrain
-     nothing: the chain follows the live path. *)
-  check Alcotest.(list int) "chain a" [ x; y ] (Dominators.chain d a);
-  check Alcotest.(list int) "chain x" [ y ] (Dominators.chain d x)
-
-(* The defining property, checked structurally on random circuits:
-   a dead node reaches no output; otherwise the immediate
-   post-dominator (when it is a real node) is a cut — removing it
-   disconnects the node from every output — and sits strictly
-   downstream (higher level), which the truncated-propagation kernel
-   relies on. *)
-let dominators_cut_property =
-  QCheck.Test.make ~name:"ipdom is an output cut at a higher level" ~count:80 arb_circuit
-  @@ fun c ->
-  let d = Dominators.compute c in
-  let reaches ?(avoid = -1) v =
-    let seen = Array.make (Circuit.node_count c) false in
-    let rec go v =
-      v <> avoid && not seen.(v)
-      && begin
-           seen.(v) <- true;
-           Circuit.is_output c v || Array.exists go (Circuit.fanouts c v)
-         end
-    in
-    go v
-  in
-  let ok = ref true in
-  Circuit.iter_nodes c (fun v ->
-      match Dominators.ipdom d v with
-      | Dominators.Dead -> if reaches v then ok := false
-      | Dominators.Sink -> if not (reaches v) then ok := false
-      | Dominators.Node m ->
-          if
-            (not (reaches v))
-            || reaches ~avoid:m v
-            || Circuit.level c m <= Circuit.level c v
-          then ok := false);
-  !ok
-
 let generator_deterministic () =
   let a = Generate.random ~seed:11 ~name:"x" (Generate.profile ~pis:5 ~gates:30 ()) in
   let b = Generate.random ~seed:11 ~name:"x" (Generate.profile ~pis:5 ~gates:30 ()) in
@@ -682,13 +594,6 @@ let () =
           qtest ffr_stems_are_stems;
           qtest ffr_walk_reaches_stem;
           qtest ffr_regions_partition;
-        ] );
-      ( "dominators",
-        [
-          Alcotest.test_case "diamond" `Quick dominators_diamond;
-          Alcotest.test_case "two outputs" `Quick dominators_two_outputs;
-          Alcotest.test_case "dead node and chain" `Quick dominators_dead_and_chain;
-          qtest dominators_cut_property;
         ] );
       ( "bench",
         [

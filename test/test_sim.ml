@@ -243,15 +243,25 @@ let capped_sets_are_prefixes =
   !ok
 
 
-(* --- parallel / stem-first paths ----------------------------------- *)
+(* --- pool sizes and lane widths ------------------------------------ *)
 
 (* CI runs the suite under ADI_JOBS=1 and ADI_JOBS=4; the parity
-   properties below compare that pool size against the serial
-   reference. *)
+   properties below compare that pool size against one lane. *)
 let env_jobs =
   match Sys.getenv_opt "ADI_JOBS" with
   | Some s -> ( match int_of_string_opt s with Some j when j >= 1 -> j | _ -> 4)
   | None -> 4
+
+(* CI sweeps ADI_BLOCK_WIDTH (with ADI_JOBS); the parity properties
+   below compare that lane width — and the narrower ones — against
+   the event kernel at width 1. *)
+let env_width =
+  match Sys.getenv_opt "ADI_BLOCK_WIDTH" with
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some w when List.mem w [ 1; 2; 4; 8 ] -> w
+      | _ -> 8)
+  | None -> 8
 
 let words_equal a b =
   Array.length a = Array.length b
@@ -271,26 +281,6 @@ let parallel_detection_sets_identical =
   let pats = Patterns.random rng ~n_inputs ~count:150 in
   words_equal (Faultsim.detection_sets fl pats) (Faultsim.detection_sets ~jobs:env_jobs fl pats)
 
-let stem_first_identical =
-  QCheck.Test.make ~name:"stem-first FFR acceleration = plain propagation" ~count:30
-    arb_circuit
-  @@ fun c ->
-  let fl = Collapse.collapsed c in
-  let n_inputs = Array.length (Circuit.inputs c) in
-  let rng = Rng.create 59 in
-  let pats = Patterns.random rng ~n_inputs ~count:150 in
-  words_equal (Faultsim.detection_sets fl pats) (Faultsim.detection_sets_stem_first fl pats)
-
-let stem_first_full_universe =
-  QCheck.Test.make ~name:"stem-first agrees on the full (uncollapsed) universe" ~count:15
-    arb_circuit
-  @@ fun c ->
-  let fl = Fault_list.full c in
-  let n_inputs = Array.length (Circuit.inputs c) in
-  let rng = Rng.create 61 in
-  let pats = Patterns.random rng ~n_inputs ~count:100 in
-  words_equal (Faultsim.detection_sets fl pats) (Faultsim.detection_sets_stem_first fl pats)
-
 let parallel_dropping_identical =
   QCheck.Test.make
     ~name:(Printf.sprintf "with_dropping/n_detection/capped ~jobs:%d = serial" env_jobs)
@@ -308,10 +298,10 @@ let parallel_dropping_identical =
 
 (* --- kernel parity ------------------------------------------------- *)
 
-(* The stem and cpt kernels are pure work-saving transformations of
-   the event-driven reference: every kernel x collapsing mode x pool
-   size must produce the same detection words, byte for byte. *)
-let kernels = [ Faultsim.Event; Faultsim.Stem; Faultsim.Cpt ]
+(* The stem kernel is a pure work-saving transformation of the
+   event-driven reference: every kernel x collapsing mode x pool size
+   must produce the same detection words, byte for byte. *)
+let kernels = [ Faultsim.Event; Faultsim.Stem ]
 
 let kernel_detection_sets_identical =
   QCheck.Test.make
@@ -352,37 +342,61 @@ let kernel_dropping_family_identical =
       && words_equal cap0 (Faultsim.detection_sets_capped ~jobs:env_jobs ~kernel:k fl pats ~n:3))
     kernels
 
+(* Every driver under each kernel, pool size {1, ADI_JOBS} and lane
+   width {1, ADI_BLOCK_WIDTH} against the naive oracle: the expected
+   detection sets, first detections, n-capped counts and n-capped sets
+   are all derived from Refsim's detection table, so the dropping
+   family is checked against an independent implementation too. *)
 let kernel_matches_oracle =
-  QCheck.Test.make ~name:"stem/cpt kernels = naive oracle" ~count:15 arb_circuit
+  QCheck.Test.make ~name:"every driver x kernel = naive oracle" ~count:15 arb_circuit
   @@ fun c ->
   let fl = Collapse.collapsed c in
   let n_inputs = Array.length (Circuit.inputs c) in
   let rng = Rng.create 79 in
-  let pats = Patterns.random rng ~n_inputs ~count:80 in
-  let slow = Refsim.detection_table fl pats in
+  (* One vector repeated over the first block pushes most first and
+     n-th detections into later blocks (the last one partial). *)
+  let v = Array.init n_inputs (fun _ -> Rng.bool rng) in
+  let pats =
+    Patterns.concat
+      (Patterns.of_vectors ~n_inputs (Array.make 64 v))
+      (Patterns.random rng ~n_inputs ~count:96)
+  in
+  let cnt = Patterns.count pats in
+  let n = 3 in
+  (* Per fault, its detecting patterns in increasing order. *)
+  let hits =
+    Array.map
+      (fun row -> List.filter (fun p -> row.(p)) (List.init cnt Fun.id))
+      (Refsim.detection_table fl pats)
+  in
+  let set_of ps =
+    let b = Bitvec.create cnt in
+    List.iter (fun p -> Bitvec.set b p true) ps;
+    b
+  in
+  let sets = Array.map set_of hits in
+  let drop =
+    { Faultsim.first_detection = Array.map (function [] -> -1 | p :: _ -> p) hits;
+      detected = Array.fold_left (fun a ps -> if ps = [] then a else a + 1) 0 hits }
+  in
+  let counts = Array.map (fun ps -> min n (List.length ps)) hits in
+  let capped = Array.map (fun ps -> set_of (List.filteri (fun i _ -> i < n) ps)) hits in
   List.for_all
-    (fun k ->
-      let fast = Faultsim.detection_sets ~kernel:k fl pats in
-      let ok = ref true in
-      Array.iteri
-        (fun fi d ->
-          Array.iteri (fun p expect -> if Bitvec.get d p <> expect then ok := false) slow.(fi))
-        fast;
-      !ok)
-    [ Faultsim.Stem; Faultsim.Cpt ]
+    (fun kernel ->
+      List.for_all
+        (fun jobs ->
+          List.for_all
+            (fun block_width ->
+              words_equal sets (Faultsim.detection_sets ~jobs ~kernel ~block_width fl pats)
+              && Faultsim.with_dropping ~jobs ~kernel ~block_width fl pats = drop
+              && Faultsim.n_detection ~jobs ~kernel ~block_width fl pats ~n = counts
+              && words_equal capped
+                   (Faultsim.detection_sets_capped ~jobs ~kernel ~block_width fl pats ~n))
+            (List.sort_uniq compare [ 1; env_width ]))
+        (List.sort_uniq compare [ 1; env_jobs ]))
+    kernels
 
 (* --- wide superblocks ---------------------------------------------- *)
-
-(* CI sweeps ADI_BLOCK_WIDTH (with ADI_JOBS); the parity properties
-   below compare that lane width — and the narrower ones — against
-   the event kernel at width 1. *)
-let env_width =
-  match Sys.getenv_opt "ADI_BLOCK_WIDTH" with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some w when List.mem w [ 1; 2; 4; 8 ] -> w
-      | _ -> 8)
-  | None -> 8
 
 let widths = List.sort_uniq compare [ 2; 4; env_width ]
 
@@ -499,7 +513,7 @@ let kernel_names_roundtrip () =
   check Alcotest.bool "unknown rejected" true (Faultsim.kernel_of_string "warp" = None);
   check
     Alcotest.(list string)
-    "names" [ "event"; "stem"; "cpt" ]
+    "names" [ "event"; "stem" ]
     (List.map Faultsim.kernel_name kernels);
   check Alcotest.(list string) "kernel_names" Faultsim.kernel_names
     (List.map Faultsim.kernel_name kernels)
@@ -565,17 +579,15 @@ let () =
           qtest capped_sets_are_prefixes;
           qtest detects_single;
           qtest parallel_detection_sets_identical;
-          qtest stem_first_identical;
-          qtest stem_first_full_universe;
           qtest parallel_dropping_identical;
           qtest kernel_detection_sets_identical;
           qtest kernel_dropping_family_identical;
           qtest kernel_matches_oracle;
           qtest block_width_detection_sets_identical;
           qtest block_width_dropping_family_identical;
-          qtest wide_matches_oracle;
           qtest block_outputs_width_identical;
           Alcotest.test_case "kernel names roundtrip" `Quick kernel_names_roundtrip;
+          qtest wide_matches_oracle;
           qtest deductive_matches_event_driven;
           qtest deductive_full_universe;
         ] );
