@@ -39,7 +39,7 @@ let jobs () = !bench_cfg.Run_config.jobs
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--full] [--seed N] [--jobs N] [--window N] [--metrics] \
+    "usage: main.exe [--full] [--seed N] [--jobs N] [--metrics] \
      [--trace FILE] [--no-micro | --micro-only] [--no-perf] [--soak] [--fleet] \
      [--diagnosis] [--scaling] [--gen SPEC] [--history-keep N] [EXPERIMENT ...]";
   Printf.eprintf "experiments: %s\n" (String.concat ", " Harness.experiment_names);
@@ -566,13 +566,9 @@ let write_bench_json ~circuit ~collapse ~kernels ~speedup ~atpg =
         (json_escape name) (json_escape circuit) kjobs wall_s)
     kernels;
   bf "], \"speedup_detection_sets\": %.3f, " speedup;
-  (let serial_s, atpg_s, window, committed, wasted = atpg in
-   bf
-     "\"atpg\": {\"serial_s\": %.6f, \"atpg_s\": %.6f, \"window\": %d, \"jobs\": %d, \
-      \"speedup\": %.3f, \"spec_committed\": %d, \"spec_wasted\": %d}, "
-     serial_s atpg_s window (jobs ())
-     (if atpg_s > 0.0 then serial_s /. atpg_s else 0.0)
-     committed wasted);
+  (let atpg_s, tests, detected = atpg in
+   bf "\"atpg\": {\"atpg_s\": %.6f, \"tests\": %d, \"detected\": %d}, " atpg_s tests
+     detected);
   bf "\"experiments\": [";
   List.iteri
     (fun i (name, wall_s) ->
@@ -676,10 +672,10 @@ let run_diagnosis_stage () =
    suite sizes (>= 10^5 gates by default, --gen overrides the spec), a
    spread fault sample, and a jobs x block-width grid of non-dropping
    detection_sets runs — every grid point asserted word-identical to
-   the event kernel at width 1 — followed by a time-budgeted
-   speculative ATPG burst.  The numbers, and the circuit's structural
-   digest (the determinism witness), land in the BENCH_adi.json entry
-   as a "scaling" object; CI's perf gate checks its schema. *)
+   the event kernel at width 1 — followed by a time-budgeted ATPG
+   burst.  The numbers, and the circuit's structural digest (the
+   determinism witness), land in the BENCH_adi.json entry as a
+   "scaling" object; CI's perf gate checks its schema. *)
 
 let run_scaling_stage () =
   let spec = Generate.spec_of_string !scaling_gen in
@@ -731,13 +727,11 @@ let run_scaling_stage () =
           [ 1; 2; 4; 8 ])
       (List.sort_uniq compare [ 1; jobs () ])
   in
-  (* Speculative ATPG burst under a whole-run wall-clock budget: how
-     far the engine gets on the sampled universe in a fixed slice. *)
+  (* ATPG burst under a whole-run wall-clock budget: how far the
+     engine gets on the sampled universe in a fixed slice. *)
   let budget_s = 5.0 in
-  let ecfg = Run_config.engine_config !bench_cfg in
-  let window = max 2 ecfg.Engine.window in
   let config =
-    { ecfg with Engine.jobs = jobs (); window; time_budget_s = Some budget_s }
+    { (Run_config.engine_config !bench_cfg) with Engine.time_budget_s = Some budget_s }
   in
   let r, t_atpg =
     time (fun () -> Engine.run ~config fl ~order:(Array.init nsample Fun.id))
@@ -747,8 +741,8 @@ let run_scaling_stage () =
     Array.fold_left (fun a d -> if d >= 0 then a + 1 else a) 0 r.Engine.detected_by
   in
   Printf.printf
-    "  atpg  jobs=%d window=%d budget=%.0fs: %d tests, %d/%d detected in %.3f s%s\n\n%!"
-    (jobs ()) window budget_s ntests detected nsample t_atpg
+    "  atpg  budget=%.0fs: %d tests, %d/%d detected in %.3f s%s\n\n%!"
+    budget_s ntests detected nsample t_atpg
     (if r.Engine.interrupted then " (budget expired)" else "");
   scaling_summary :=
     Some
@@ -756,15 +750,14 @@ let run_scaling_stage () =
          "{\"spec\": \"%s\", \"digest\": \"%s\", \"gates\": %d, \"inputs\": %d, \
           \"outputs\": %d, \"depth\": %d, \"build_s\": %.6f, \"faults_sampled\": %d, \
           \"faults_full\": %d, \"patterns\": %d, \"reference_wall_s\": %.6f, \
-          \"grid\": [%s], \"atpg\": {\"budget_s\": %.1f, \"jobs\": %d, \"window\": %d, \
-          \"wall_s\": %.6f, \"tests\": %d, \"detected\": %d, \"interrupted\": %s, \
-          \"tests_per_s\": %.2f}}"
+          \"grid\": [%s], \"atpg\": {\"budget_s\": %.1f, \"wall_s\": %.6f, \
+          \"tests\": %d, \"detected\": %d, \"interrupted\": %s, \"tests_per_s\": %.2f}}"
          (json_escape (Generate.spec_to_string spec))
          (json_escape digest) (Circuit.gate_count c)
          (Array.length (Circuit.inputs c))
          (Array.length (Circuit.outputs c))
          (Circuit.depth c) build_s nsample nfull (Patterns.count pats) t_ref
-         (String.concat ", " grid) budget_s (jobs ()) window t_atpg ntests detected
+         (String.concat ", " grid) budget_s t_atpg ntests detected
          (if r.Engine.interrupted then "true" else "false")
          (if t_atpg > 0.0 then float_of_int ntests /. t_atpg else 0.0))
 
@@ -824,38 +817,20 @@ let run_perf_kernels () =
      (stem w8 vs event w1): %.2fx\n\n%!"
     jobs speedup
     (if t_stem_w8 > 0.0 then t_serial /. t_stem_w8 else 0.0);
-  (* ATPG phase: serial engine vs speculative lookahead, same prepared
-     setup, byte-identical test sets by construction (checked). *)
+  (* ATPG phase: the engine on the prepared setup. *)
   let cfg = !bench_cfg in
   let setup = Pipeline.prepare cfg c in
-  let ecfg = Run_config.engine_config cfg in
-  let window = max 2 ecfg.Engine.window in
-  let serial_cfg = { ecfg with Engine.jobs = 1; window = 1 } in
-  let spec_cfg = { ecfg with Engine.jobs = jobs; window } in
   Printf.printf "ATPG phase (%s, order %s):\n%!" name
     (Ordering.to_string cfg.Run_config.order);
-  let r_serial, t_atpg_serial =
-    time (fun () -> Pipeline.run_order_with serial_cfg setup cfg.Run_config.order)
+  let r, t_atpg =
+    time (fun () ->
+        Pipeline.run_order_with (Run_config.engine_config cfg) setup cfg.Run_config.order)
   in
-  Printf.printf "  atpg  jobs=1 window=1          %8.3f s\n%!" t_atpg_serial;
-  let r_spec, t_atpg_spec =
-    time (fun () -> Pipeline.run_order_with spec_cfg setup cfg.Run_config.order)
-  in
-  Printf.printf "  atpg  jobs=%-3d window=%-4d     %8.3f s\n%!" jobs window t_atpg_spec;
-  let es = r_serial.Pipeline.engine and ep = r_spec.Pipeline.engine in
-  if
-    Patterns.to_strings es.Engine.tests <> Patterns.to_strings ep.Engine.tests
-    || es.Engine.detected_by <> ep.Engine.detected_by
-    || es.Engine.untestable <> ep.Engine.untestable
-    || es.Engine.aborted <> ep.Engine.aborted
-  then failwith "bench: speculative ATPG differs from the serial run";
-  Printf.printf
-    "  byte-identical tests; speedup %.2fx; %d committed, %d wasted (%.0f%% waste)\n\n%!"
-    (if t_atpg_spec > 0.0 then t_atpg_serial /. t_atpg_spec else 0.0)
-    ep.Engine.spec_committed ep.Engine.spec_wasted
-    (if ep.Engine.spec_dispatched > 0 then
-       100.0 *. float_of_int ep.Engine.spec_wasted /. float_of_int ep.Engine.spec_dispatched
-     else 0.0);
+  let e = r.Pipeline.engine in
+  let ntests = Patterns.count e.Engine.tests in
+  let detected = Array.fold_left (fun a d -> if d >= 0 then a + 1 else a) 0 e.Engine.detected_by in
+  Printf.printf "  atpg  %8.3f s: %d tests, %d/%d detected\n\n%!" t_atpg ntests detected
+    (Array.length e.Engine.detected_by);
   write_bench_json ~circuit:name ~collapse
     ~kernels:
       [
@@ -865,11 +840,9 @@ let run_perf_kernels () =
         ("detection_sets/stem_w8", 1, t_stem_w8);
         ("detection_sets/event_w8", 1, t_event_w8);
         ("detection_sets/dominance", 1, t_dom);
-        ("atpg/serial", 1, t_atpg_serial);
-        (Printf.sprintf "atpg/spec_w%d" window, jobs, t_atpg_spec);
+        ("atpg/serial", 1, t_atpg);
       ]
-    ~speedup
-    ~atpg:(t_atpg_serial, t_atpg_spec, window, ep.Engine.spec_committed, ep.Engine.spec_wasted);
+    ~speedup ~atpg:(t_atpg, ntests, detected);
   Printf.printf "(appended to BENCH_adi.json)\n\n%!"
 
 (* ---------- Bechamel micro-benchmarks ----------------------------- *)

@@ -360,45 +360,7 @@ let batch_cmd =
       const run $ target_term $ timeout_arg $ retries_arg $ op_arg $ circuits_arg
       $ config_params_term)
 
-(* The pre-v2 `raw` subcommand survives only as `--raw` on the group
-   default — deprecated protocol-debugging surface, not an op. *)
-let raw_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "raw" ] ~docv:"JSON"
-        ~doc:
-          "Send $(docv) verbatim as one request payload and print the reply payload \
-           (deprecated protocol-debugging surface; use the typed subcommands).")
-
-let default_term =
-  let run socket tcp timeout retries raw =
-    match raw with
-    | None -> `Help (`Pager, None)
-    | Some payload -> (
-        match parse_target socket tcp with
-        | `Error _ as e -> e
-        | `Ok target ->
-            `Ok
-              (guard @@ fun () ->
-               with_client target ~timeout_s:timeout ~retries (fun client ->
-                   let reply = Service.Client.raw client payload in
-                   match
-                     Result.bind (Json.of_string reply) Service.Protocol.response_of_json
-                   with
-                   | Error msg -> Diagnostics.fail Diagnostics.Protocol "unreadable reply: %s" msg
-                   | Ok { Service.Protocol.payload; _ } -> (
-                       match payload with
-                       | Ok (Service.Protocol.Result result) ->
-                           print_endline (Json.to_string result)
-                       | Ok reply ->
-                           print_endline
-                             (Json.to_string
-                                (Service.Protocol.response_to_json
-                                   { Service.Protocol.id = 0; payload = Ok reply }))
-                       | Error e -> report_error e))))
-  in
-  Term.(ret (const run $ socket_arg $ tcp_arg $ timeout_arg $ retries_arg $ raw_arg))
+let default_term = Term.(ret (const (`Help (`Pager, None))))
 
 let cmd =
   let info =

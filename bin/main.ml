@@ -248,9 +248,6 @@ let atpg_cmd =
     print_string r.Harness.report;
     Printf.printf "runtime     : %.3fs (%d decisions, %d backtracks)\n" e.Engine.runtime_s
       e.Engine.stats.Podem.decisions e.Engine.stats.Podem.backtracks;
-    if e.Engine.spec_dispatched > 0 then
-      Printf.printf "speculation : %d dispatched, %d committed, %d wasted\n"
-        e.Engine.spec_dispatched e.Engine.spec_committed e.Engine.spec_wasted;
     (match r.Harness.checkpoint_saved with
     | Some path -> Printf.printf "checkpoint  : saved to %s (rerun with --resume)\n" path
     | None ->

@@ -4,10 +4,8 @@ type t = {
   target_coverage : float;
   jobs : int;
   block_width : int;
-  window : int option;
   faultsim_kernel : Faultsim.kernel option;
   order : Ordering.kind;
-  generator : Engine.generator;
   backtrack_limit : int;
   retries : int;
   time_budget_s : float option;
@@ -27,10 +25,8 @@ let default =
     target_coverage = 0.9;
     jobs = 1;
     block_width = 1;
-    window = None;
     faultsim_kernel = None;
     order = Ordering.Dynm0;
-    generator = Engine.default_config.Engine.generator;
     backtrack_limit = Engine.default_config.Engine.backtrack_limit;
     retries = Engine.default_config.Engine.retries;
     time_budget_s = None;
@@ -66,15 +62,8 @@ let with_block_width block_width t =
   | w -> bad "--block-width must be 1, 2, 4 or 8 (got %d)" w);
   { t with block_width }
 
-let with_window window t =
-  (match window with
-  | Some w when w < 1 -> bad "--window must be at least 1 (got %d)" w
-  | _ -> ());
-  { t with window }
-
 let with_faultsim_kernel faultsim_kernel t = { t with faultsim_kernel }
 let with_order order t = { t with order }
-let with_generator generator t = { t with generator }
 
 let with_backtrack_limit backtrack_limit t =
   if backtrack_limit < 0 then bad "--backtracks must be non-negative (got %d)" backtrack_limit;
@@ -117,7 +106,6 @@ let validate t =
     |> with_target_coverage t.target_coverage
     |> with_jobs t.jobs
     |> with_block_width t.block_width
-    |> with_window t.window
     |> with_backtrack_limit t.backtrack_limit |> with_retries t.retries
     |> with_time_budget t.time_budget_s
     |> with_per_fault_budget t.per_fault_budget_s
@@ -140,25 +128,7 @@ let engine_config t =
   {
     Engine.backtrack_limit = t.backtrack_limit;
     seed = t.seed;
-    generator = t.generator;
     retries = t.retries;
     time_budget_s = t.time_budget_s;
     per_fault_budget_s = t.per_fault_budget_s;
-    jobs = t.jobs;
-    (* The default lookahead keeps every lane fed with a refill in
-       hand; [--window 1] forces the exact serial path. *)
-    window = (match t.window with Some w -> w | None -> 4 * t.jobs);
-  }
-
-let of_engine_config c t =
-  {
-    t with
-    backtrack_limit = c.Engine.backtrack_limit;
-    seed = c.Engine.seed;
-    generator = c.Engine.generator;
-    retries = c.Engine.retries;
-    time_budget_s = c.Engine.time_budget_s;
-    per_fault_budget_s = c.Engine.per_fault_budget_s;
-    jobs = c.Engine.jobs;
-    window = Some c.Engine.window;
   }

@@ -23,16 +23,12 @@ type t = {
       (** 64-bit words per simulation lane (1, 2, 4 or 8 — 64 to 512
           patterns per pass).  A pure throughput knob: detection words
           are bit-identical for every width *)
-  window : int option;
-      (** speculative-lookahead width for ATPG runs; [None] defaults to
-          [4 * jobs] when the engine configuration is built *)
   faultsim_kernel : Faultsim.kernel option;
       (** detection-word kernel for whole-set fault simulation; [None]
-          keeps the historical per-driver defaults.  Like [jobs] and
-          [window] this is a pure throughput knob — every kernel yields
+          keeps the historical per-driver defaults.  Like [jobs] this
+          is a pure throughput knob — every kernel yields
           bit-identical detection sets *)
   order : Ordering.kind;  (** fault ordering for ATPG runs *)
-  generator : Engine.generator;
   backtrack_limit : int;
   retries : int;  (** abort-retry escalation passes *)
   time_budget_s : float option;  (** whole-run wall-clock budget *)
@@ -70,16 +66,11 @@ val with_block_width : int -> t -> t
 (** Rejects widths outside [{1, 2, 4, 8}].  Results are bit-identical
     for every accepted width. *)
 
-val with_window : int option -> t -> t
-(** Rejects [window < 1]; results are byte-identical for every width
-    (the window, like [jobs], is a pure throughput knob). *)
-
 val with_faultsim_kernel : Faultsim.kernel option -> t -> t
 (** Select the fault-simulation kernel ([None] = per-driver default).
     Results are byte-identical for every kernel. *)
 
 val with_order : Ordering.kind -> t -> t
-val with_generator : Engine.generator -> t -> t
 val with_backtrack_limit : int -> t -> t
 val with_retries : int -> t -> t
 val with_time_budget : float option -> t -> t
@@ -112,7 +103,3 @@ val fingerprint : t -> string
 
 val engine_config : t -> Engine.config
 (** The [Engine.config] slice of this configuration. *)
-
-val of_engine_config : Engine.config -> t -> t
-(** Merge an explicit engine configuration back in (legacy-wrapper
-    support). *)

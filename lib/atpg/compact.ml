@@ -1,5 +1,4 @@
 module Bitvec = Util.Bitvec
-module Parallel = Util.Parallel
 
 type result = { kept : int array; tests : Patterns.t }
 
@@ -42,51 +41,25 @@ let set_cover ?(jobs = 1) fl pats =
   let rows = Array.map (fun t -> Patterns.vector pats t) kept in
   { kept; tests = Patterns.of_vectors ~n_inputs rows }
 
-let reverse_order ?(jobs = 1) fl pats =
+let reverse_order fl pats =
   let c = Fault_list.circuit fl in
   let n_inputs = Array.length (Circuit.inputs c) in
   if Patterns.n_inputs pats <> n_inputs then
     invalid_arg "Compact.reverse_order: pattern width mismatch";
   let nf = Fault_list.count fl in
-  let jobs = max 1 jobs in
-  let wss = Array.init jobs (fun _ -> Faultsim.workspace c) in
-  let pool = if jobs > 1 then Some (Parallel.create ~jobs ()) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Parallel.shutdown pool) @@ fun () ->
-  let good = Faultsim.good_arena wss.(0) in
+  let ws = Faultsim.workspace c in
+  let good = Faultsim.good_arena ws in
   let detected = Array.make nf false in
-  let hit = Array.make nf false in
-  (* Fill [hit] for the live faults — each lane writes a static slice,
-     so the serial merge below sees the serial loop's exact data. *)
-  let scan () =
-    match pool with
-    | None ->
-        for fi = 0 to nf - 1 do
-          if not detected.(fi) then
-            hit.(fi) <-
-              Int64.logand (Faultsim.detect_block wss.(0) ~good (Fault_list.get fl fi)) 1L = 1L
-        done
-    | Some p ->
-        let k = min (Parallel.jobs p) (max nf 1) in
-        Parallel.run p
-          (Array.init k (fun lane ->
-               fun () ->
-                let ws = wss.(lane) in
-                for fi = lane * nf / k to ((lane + 1) * nf / k) - 1 do
-                  if not detected.(fi) then
-                    hit.(fi) <-
-                      Int64.logand (Faultsim.detect_block ws ~good (Fault_list.get fl fi)) 1L
-                      = 1L
-                done))
-  in
   let kept = ref [] in
   for t = Patterns.count pats - 1 downto 0 do
     let vec = Patterns.vector pats t in
-    let single = Patterns.of_vectors ~n_inputs [| vec |] in
-    Faultsim.load_good wss.(0) good single 0;
-    scan ();
+    Faultsim.load_good ws good (Patterns.of_vectors ~n_inputs [| vec |]) 0;
     let useful = ref false in
     for fi = 0 to nf - 1 do
-      if (not detected.(fi)) && hit.(fi) then begin
+      if
+        (not detected.(fi))
+        && Int64.logand (Faultsim.detect_block ws ~good (Fault_list.get fl fi)) 1L = 1L
+      then begin
         detected.(fi) <- true;
         useful := true
       end

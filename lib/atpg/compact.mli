@@ -12,9 +12,8 @@ type result = {
   tests : Patterns.t;  (** the compacted test set *)
 }
 
-val reverse_order : ?jobs:int -> Fault_list.t -> Patterns.t -> result
-(** [jobs] (default 1) sizes the fault-simulation domain pool; the
-    kept set is identical for any value.
+val reverse_order : Fault_list.t -> Patterns.t -> result
+(** Single-threaded, like the engine's drop scans.
     @raise Invalid_argument if pattern width disagrees with the
     circuit's PI count. *)
 

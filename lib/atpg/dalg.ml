@@ -23,8 +23,6 @@ type state = {
   mutable queue : int list;  (* nodes to (re)examine *)
 }
 
-type context = state
-
 let stuck_ternary st = Ternary.of_bool st.fault.Fault.stuck_at
 
 let pin_value st g p =

@@ -18,25 +18,6 @@
     search is reported as {!Podem.Aborted} rather than
     {!Podem.Untestable}. *)
 
-type context
-(** Reusable search state for one circuit (value slab, cone marks,
-    trail).  Create once, generate for many faults — the reset between
-    searches is proportional to the previous search's footprint, not
-    the circuit size. *)
-
-val context : ?stats:Podem.stats -> Circuit.t -> Scoap.t -> context
-(** @raise Invalid_argument if the circuit is sequential. *)
-
-val generate_in :
-  ?backtrack_limit:int ->
-  ?deadline:Util.Budget.t ->
-  context ->
-  Fault.t ->
-  Podem.outcome
-(** Run the search in a reused context — same contract as
-    {!Podem.generate_in} minus [fixed] (the D-algorithm decides at
-    internal gates, so PI constraints are PODEM's mechanism). *)
-
 val generate :
   ?backtrack_limit:int ->
   ?deadline:Util.Budget.t ->
@@ -45,7 +26,6 @@ val generate :
   Scoap.t ->
   Fault.t ->
   Podem.outcome
-(** One-shot convenience: [generate_in (context c scoap) f] — same
-    contract as {!Podem.generate} (default [backtrack_limit] 256,
+(** Same contract as {!Podem.generate} (default [backtrack_limit] 256,
     unlimited [deadline]): a returned cube detects the fault for every
     fill; the circuit must be combinational. *)

@@ -1,57 +1,34 @@
 module Rng = Util.Rng
 module Budget = Util.Budget
-module Parallel = Util.Parallel
 module Trace = Util.Trace
 module Metrics = Util.Metrics
-
-type generator = Podem_gen | Dalg_gen
 
 type config = {
   backtrack_limit : int;
   seed : int;
-  generator : generator;
   retries : int;
   time_budget_s : float option;
   per_fault_budget_s : float option;
-  jobs : int;
-  window : int;
 }
 
 let default_config =
   {
     backtrack_limit = 256;
     seed = 0xAD1;
-    generator = Podem_gen;
     retries = 1;
     time_budget_s = None;
     per_fault_budget_s = None;
-    jobs = 1;
-    window = 1;
   }
 
-(* Per-run parallel resources, shared by every entry point: one
-   fault-simulation workspace per lane, and a pool only when more than
-   one lane can actually run. *)
-let scan_resources ~observed c ~jobs =
-  let wss = Array.init jobs (fun _ -> Faultsim.workspace c) in
-  let pool = if jobs > 1 then Some (Parallel.create ~jobs ~track:observed ()) else None in
-  (wss, pool)
+(* Every entry point owns one fault-simulation workspace.  A test's
+   drop scan is one pattern wide, so it is a plain loop over the
+   faults: [load_test] fills the good values once per test, then
+   [detects] asks about one fault. *)
+let load_test ws good ~n_inputs vec =
+  Faultsim.load_good ws good (Patterns.of_vectors ~n_inputs [| vec |]) 0
 
-(* Per-test fault scan: [visit lane ws fi] must touch only fault [fi]'s
-   cells and lane-private storage, so static fault slices over private
-   workspaces reproduce the serial scan exactly. *)
-let fault_scan pool wss nf visit =
-  match pool with
-  | None -> for fi = 0 to nf - 1 do visit 0 wss.(0) fi done
-  | Some p ->
-      let k = min (Parallel.jobs p) (max nf 1) in
-      Parallel.run p
-        (Array.init k (fun lane ->
-             fun () ->
-              let ws = wss.(lane) in
-              for fi = lane * nf / k to ((lane + 1) * nf / k) - 1 do
-                visit lane ws fi
-              done))
+let detects ws ~good fl fi =
+  Int64.logand (Faultsim.detect_block ws ~good (Fault_list.get fl fi)) 1L = 1L
 
 type snapshot = {
   snap_pass : int;
@@ -72,10 +49,10 @@ type snapshot = {
   snap_implications : int;
 }
 
-(* Leader-side end-of-run metrics: the search statistics that are
+(* End-of-run metrics: the search statistics that are
    otherwise trapped inside [result].  Counters accumulate, so several
    runs under one tracer (the bench driver) sum up. *)
-let publish_result tr pool wss (stats : Podem.stats) ~tests ~untestable ~aborted
+let publish_result tr ws (stats : Podem.stats) ~tests ~untestable ~aborted
     ~out_of_budget ~retry_recovered =
   if Trace.enabled tr then begin
     Metrics.add (Trace.counter tr "podem.decisions") stats.Podem.decisions;
@@ -86,12 +63,7 @@ let publish_result tr pool wss (stats : Podem.stats) ~tests ~untestable ~aborted
     Metrics.add (Trace.counter tr "engine.aborted") aborted;
     Metrics.add (Trace.counter tr "engine.out_of_budget") out_of_budget;
     Metrics.add (Trace.counter tr "engine.retry_recovered") retry_recovered;
-    Faultsim.publish_stats tr wss;
-    match pool with
-    | Some p ->
-        let h = Trace.histogram tr "parallel.lane_busy_s" in
-        Array.iter (fun b -> Metrics.observe h b) (Parallel.lane_busy_s p)
-    | None -> ()
+    Faultsim.publish_stats tr [| ws |]
   end
 
 type result = {
@@ -106,9 +78,9 @@ type result = {
   snapshot : snapshot option;
   stats : Podem.stats;
   runtime_s : float;
+  (* Always 0 now that the engine is serial; the benchmark probe reads them. *)
   spec_dispatched : int;
   spec_committed : int;
-  spec_wasted : int;
 }
 
 let fill_cube rng cube =
@@ -128,7 +100,6 @@ let check_order n order =
 let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
     ?(should_stop = fun () -> false) fl ~order =
   if config.retries < 0 then invalid_arg "Engine.run: retries must be non-negative";
-  if config.window < 1 then invalid_arg "Engine.run: window must be at least 1";
   let c = Fault_list.circuit fl in
   let nf = Fault_list.count fl in
   check_order nf order;
@@ -136,9 +107,7 @@ let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
   let tr = Trace.current () in
   let observed = Trace.enabled tr in
   let scoap = Scoap.compute c in
-  let jobs = max 1 config.jobs in
-  let wss, pool = scan_resources ~observed c ~jobs in
-  Fun.protect ~finally:(fun () -> Option.iter Parallel.shutdown pool) @@ fun () ->
+  let ws = Faultsim.workspace c in
   let stats = Podem.fresh_stats () in
   let ctx = Podem.context ~stats c scoap in
   let run_budget = Budget.of_seconds_opt config.time_budget_s in
@@ -201,7 +170,7 @@ let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
     }
   in
   let n_inputs = Array.length (Circuit.inputs c) in
-  let good = Faultsim.good_arena wss.(0) in
+  let good = Faultsim.good_arena ws in
   (* Observability handles; all dummies when tracing is off. *)
   let h_good = Trace.histogram tr "engine.goodsim_block_s" in
   let h_drops = Trace.histogram tr "engine.drops_per_test" in
@@ -210,21 +179,16 @@ let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
   let h_gen_abort = Trace.histogram tr "engine.gen_s.aborted" in
   let h_gen_oob = Trace.histogram tr "engine.gen_s.out_of_budget" in
   let c_budget = Trace.counter tr "engine.budget_expired" in
-  let c_spec_refilled = Trace.counter tr "engine.spec.refilled" in
-  let drop_counts = Array.make jobs 0 in
   let simulate_and_drop vec test_idx =
-    let pats = Patterns.of_vectors ~n_inputs [| vec |] in
-    Trace.time tr h_good (fun () -> Faultsim.load_good wss.(0) good pats 0);
-    if observed then Array.fill drop_counts 0 jobs 0;
-    fault_scan pool wss nf (fun lane ws fi ->
-        if detected_by.(fi) < 0 then
-          if Int64.logand (Faultsim.detect_block ws ~good (Fault_list.get fl fi)) 1L = 1L
-          then begin
-            detected_by.(fi) <- test_idx;
-            if observed then drop_counts.(lane) <- drop_counts.(lane) + 1
-          end);
-    if observed then
-      Metrics.observe h_drops (float_of_int (Array.fold_left ( + ) 0 drop_counts))
+    Trace.time tr h_good (fun () -> load_test ws good ~n_inputs vec);
+    let drops = ref 0 in
+    for fi = 0 to nf - 1 do
+      if detected_by.(fi) < 0 && detects ws ~good fl fi then begin
+        detected_by.(fi) <- test_idx;
+        incr drops
+      end
+    done;
+    if observed then Metrics.observe h_drops (float_of_int !drops)
   in
   let interrupted = ref false in
   let since_checkpoint = ref 0 in
@@ -245,48 +209,6 @@ let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
       Trace.instant tr ~attrs:[ ("pass", Trace.Int !pass) ] "engine.budget_expired"
     end
   in
-  (* Speculative lookahead: a sliding window of the next [window]
-     not-yet-dropped faults is dispatched to the pool's executors; each
-     lane searches in a private context (outcome and effort depend only
-     on the fault and the pass backtrack limit), and the leader commits
-     results in strict schedule order.  Cubes whose target was dropped
-     by a test committed meanwhile are discarded as waste; the rest are
-     random-filled from the run RNG {e at commit time}, so the RNG is
-     consumed in exactly the serial order and every artifact of the run
-     is byte-identical to [window = 1] for any [jobs]. *)
-  let spec_dispatched = ref 0 and spec_committed = ref 0 and spec_wasted = ref 0 in
-  let lane_search =
-    match pool with
-    | Some p when config.window > 1 ->
-        let w = Parallel.Window.create p ~capacity:config.window in
-        let n_exec = Parallel.Window.executors w in
-        let lane_stats = Array.init n_exec (fun _ -> Podem.fresh_stats ()) in
-        let gen =
-          match config.generator with
-          | Podem_gen ->
-              let ctxs =
-                Array.init n_exec (fun e -> Podem.context ~stats:lane_stats.(e) c scoap)
-              in
-              fun e ~backtrack_limit ~deadline f ->
-                Podem.generate_in ~backtrack_limit ~deadline ctxs.(e) f
-          | Dalg_gen ->
-              let ctxs =
-                Array.init n_exec (fun e -> Dalg.context ~stats:lane_stats.(e) c scoap)
-              in
-              fun e ~backtrack_limit ~deadline f ->
-                Dalg.generate_in ~backtrack_limit ~deadline ctxs.(e) f
-        in
-        let search ~exec ~backtrack_limit ~deadline f =
-          let s = lane_stats.(exec) in
-          let s0 = Podem.copy_stats s in
-          let t0 = if observed then Unix.gettimeofday () else 0.0 in
-          let outcome = gen exec ~backtrack_limit ~deadline f in
-          let dt = if observed then Unix.gettimeofday () -. t0 else 0.0 in
-          (outcome, Podem.diff_stats s s0, dt)
-        in
-        Some (w, search)
-    | _ -> None
-  in
   (* Generate for one fault; returns false when the whole-run budget
      fired mid-search, in which case the fault stays pending and the
      partial search effort is rolled back so a resumed run reproduces
@@ -300,12 +222,7 @@ let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
       let deadline = Budget.sub_opt run_budget config.per_fault_budget_s in
       let gen_t0 = if observed then Trace.now_s tr else 0.0 in
       let outcome =
-        match config.generator with
-        | Podem_gen ->
-            Podem.generate_in ~backtrack_limit:!limit ~deadline ctx (Fault_list.get fl fi)
-        | Dalg_gen ->
-            Dalg.generate ~backtrack_limit:!limit ~deadline ~stats c scoap
-              (Fault_list.get fl fi)
+        Podem.generate_in ~backtrack_limit:!limit ~deadline ctx (Fault_list.get fl fi)
       in
       if observed then begin
         let dt = Trace.now_s tr -. gen_t0 in
@@ -349,7 +266,7 @@ let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
           true
     end
   in
-  let run_pass_serial () =
+  let run_pass () =
     while !pos < Array.length !schedule && not !interrupted do
       if should_stop () then interrupted := true
       else if Budget.expired run_budget then note_budget_expired ()
@@ -362,113 +279,12 @@ let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
         note_budget_expired ()
     done
   in
-  let run_pass_spec w search =
-    let len = Array.length !schedule in
-    (* Dispatch cursor and the faults with a ticket in flight, oldest
-       first — a subsequence of the schedule, so the head either equals
-       the commit position's fault or that fault was never dispatched. *)
-    let dpos = ref !pos in
-    let ticketed = Queue.create () in
-    let refill () =
-      if !dpos < len && Parallel.Window.in_flight w < config.window then begin
-        Trace.span tr
-          ~attrs:
-            [ ("pos", Trace.Int !pos);
-              ("in_flight", Trace.Int (Parallel.Window.in_flight w)) ]
-          "engine.spec.refill"
-          (fun () ->
-            while !dpos < len && Parallel.Window.in_flight w < config.window do
-              let fi = !schedule.(!dpos) in
-              if detected_by.(fi) < 0 then begin
-                let backtrack_limit = !limit in
-                let deadline = Budget.sub_opt run_budget config.per_fault_budget_s in
-                let fault = Fault_list.get fl fi in
-                Parallel.Window.submit w (fun ~exec ->
-                    search ~exec ~backtrack_limit ~deadline fault);
-                Queue.push fi ticketed;
-                incr spec_dispatched
-              end;
-              incr dpos
-            done);
-        if observed then Metrics.incr c_spec_refilled
-      end
-    in
-    while !pos < len && not !interrupted do
-      if should_stop () then interrupted := true
-      else if Budget.expired run_budget then note_budget_expired ()
-      else begin
-        refill ();
-        let fi = !schedule.(!pos) in
-        if (not (Queue.is_empty ticketed)) && Queue.peek ticketed = fi then begin
-          ignore (Queue.pop ticketed : int);
-          let outcome, delta, dt = Parallel.Window.collect w in
-          if detected_by.(fi) >= 0 then begin
-            (* Dropped between dispatch and commit: the serial run never
-               searched this fault, so the lane's effort is waste. *)
-            incr spec_wasted;
-            incr pos;
-            maybe_checkpoint ()
-          end
-          else begin
-            match outcome with
-            | Podem.Out_of_budget when Budget.expired run_budget ->
-                (* As in [process]: the fault stays pending and the
-                   partial effort is discarded, so a resumed run
-                   reproduces the stats of an uninterrupted one. *)
-                note_budget_expired ()
-            | outcome ->
-                incr spec_committed;
-                Podem.add_stats ~into:stats delta;
-                if observed then
-                  Metrics.observe
-                    (match outcome with
-                    | Podem.Test _ -> h_gen_test
-                    | Podem.Untestable -> h_gen_unt
-                    | Podem.Aborted -> h_gen_abort
-                    | Podem.Out_of_budget -> h_gen_oob)
-                    dt;
-                (match outcome with
-                | Podem.Untestable -> untestable_rev := fi :: !untestable_rev
-                | Podem.Aborted -> retry_rev := fi :: !retry_rev
-                | Podem.Out_of_budget -> out_of_budget_rev := fi :: !out_of_budget_rev
-                | Podem.Test cube ->
-                    (* Don't-cares fill here, at commit, so the RNG is
-                       consumed in exactly the serial order. *)
-                    let vec = fill_cube rng cube in
-                    let idx = !n_tests in
-                    tests_rev := vec :: !tests_rev;
-                    targeted_rev := fi :: !targeted_rev;
-                    incr n_tests;
-                    simulate_and_drop vec idx;
-                    assert (detected_by.(fi) = idx));
-                incr pos;
-                maybe_checkpoint ()
-          end
-        end
-        else begin
-          (* The fault was already dropped when the dispatch cursor
-             passed it: nothing to collect. *)
-          incr pos;
-          maybe_checkpoint ()
-        end
-      end
-    done;
-    (* Abandon in-flight tickets (interrupt, or a retry pass about to
-       rebuild the schedule). *)
-    spec_wasted := !spec_wasted + Queue.length ticketed;
-    Queue.clear ticketed;
-    Parallel.Window.drain w
-  in
   let rec passes () =
     Trace.span tr
       ~attrs:
         [ ("pass", Trace.Int !pass); ("limit", Trace.Int !limit);
           ("pending", Trace.Int (Array.length !schedule - !pos)) ]
-      "engine.pass"
-      (fun () ->
-        match lane_search with
-        | Some (w, search) -> run_pass_spec w search
-        | None -> run_pass_serial ());
+      "engine.pass" run_pass;
     if not !interrupted then begin
       let retry = List.rev !retry_rev in
       if retry <> [] && !pass < config.retries then begin
@@ -491,13 +307,9 @@ let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
   let retry_recovered = ref 0 in
   Array.iteri (fun fi r -> if r && not in_final.(fi) then incr retry_recovered) ever_retried;
   let tests_arr = Array.of_list (List.rev !tests_rev) in
-  publish_result tr pool wss stats ~tests:!n_tests
+  publish_result tr ws stats ~tests:!n_tests
     ~untestable:(List.length !untestable_rev) ~aborted:(List.length aborted)
     ~out_of_budget:(List.length !out_of_budget_rev) ~retry_recovered:!retry_recovered;
-  if observed && !spec_dispatched > 0 then begin
-    Metrics.add (Trace.counter tr "engine.spec.committed") !spec_committed;
-    Metrics.add (Trace.counter tr "engine.spec.wasted") !spec_wasted
-  end;
   {
     tests = Patterns.of_vectors ~n_inputs tests_arr;
     detected_by;
@@ -510,9 +322,8 @@ let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
     snapshot = (if !interrupted then Some (snap ()) else None);
     stats;
     runtime_s = Unix.gettimeofday () -. t0;
-    spec_dispatched = !spec_dispatched;
-    spec_committed = !spec_committed;
-    spec_wasted = !spec_wasted;
+    spec_dispatched = 0;
+    spec_committed = 0;
   }
 
 let run_n_detect ?(config = default_config) ~n fl ~order =
@@ -522,11 +333,8 @@ let run_n_detect ?(config = default_config) ~n fl ~order =
   check_order nf order;
   let t0 = Unix.gettimeofday () in
   let tr = Trace.current () in
-  let observed = Trace.enabled tr in
   let scoap = Scoap.compute c in
-  let jobs = max 1 config.jobs in
-  let wss, pool = scan_resources ~observed c ~jobs in
-  Fun.protect ~finally:(fun () -> Option.iter Parallel.shutdown pool) @@ fun () ->
+  let ws = Faultsim.workspace c in
   let rng = Rng.create config.seed in
   let stats = Podem.fresh_stats () in
   let ctx = Podem.context ~stats c scoap in
@@ -537,18 +345,16 @@ let run_n_detect ?(config = default_config) ~n fl ~order =
   let tests = ref [] and targeted = ref [] and n_tests = ref 0 in
   let interrupted = ref false in
   let n_inputs = Array.length (Circuit.inputs c) in
-  let good = Faultsim.good_arena wss.(0) in
+  let good = Faultsim.good_arena ws in
   let hopeless = Array.make nf false in
   let simulate vec test_idx =
-    let pats = Patterns.of_vectors ~n_inputs [| vec |] in
-    Faultsim.load_good wss.(0) good pats 0;
-    fault_scan pool wss nf (fun _lane ws fi ->
-        if counts.(fi) < n then
-          if Int64.logand (Faultsim.detect_block ws ~good (Fault_list.get fl fi)) 1L = 1L
-          then begin
-            counts.(fi) <- counts.(fi) + 1;
-            if detected_by.(fi) < 0 then detected_by.(fi) <- test_idx
-          end)
+    load_test ws good ~n_inputs vec;
+    for fi = 0 to nf - 1 do
+      if counts.(fi) < n && detects ws ~good fl fi then begin
+        counts.(fi) <- counts.(fi) + 1;
+        if detected_by.(fi) < 0 then detected_by.(fi) <- test_idx
+      end
+    done
   in
   for pass = 1 to n do
     Trace.span tr ~attrs:[ ("pass", Trace.Int pass) ] "engine.n_detect_pass" @@ fun () ->
@@ -584,7 +390,7 @@ let run_n_detect ?(config = default_config) ~n fl ~order =
       order
   done;
   let tests_arr = Array.of_list (List.rev !tests) in
-  publish_result tr pool wss stats ~tests:!n_tests ~untestable:(List.length !untestable)
+  publish_result tr ws stats ~tests:!n_tests ~untestable:(List.length !untestable)
     ~aborted:(List.length !aborted) ~out_of_budget:(List.length !out_of_budget)
     ~retry_recovered:0;
   {
@@ -601,7 +407,6 @@ let run_n_detect ?(config = default_config) ~n fl ~order =
     runtime_s = Unix.gettimeofday () -. t0;
     spec_dispatched = 0;
     spec_committed = 0;
-    spec_wasted = 0;
   }
 
 let run_compacting ?(config = default_config) ?(secondary_limit = 50) fl ~order =
@@ -610,11 +415,8 @@ let run_compacting ?(config = default_config) ?(secondary_limit = 50) fl ~order 
   check_order nf order;
   let t0 = Unix.gettimeofday () in
   let tr = Trace.current () in
-  let observed = Trace.enabled tr in
   let scoap = Scoap.compute c in
-  let jobs = max 1 config.jobs in
-  let wss, pool = scan_resources ~observed c ~jobs in
-  Fun.protect ~finally:(fun () -> Option.iter Parallel.shutdown pool) @@ fun () ->
+  let ws = Faultsim.workspace c in
   let rng = Rng.create config.seed in
   let stats = Podem.fresh_stats () in
   let ctx = Podem.context ~stats c scoap in
@@ -624,14 +426,12 @@ let run_compacting ?(config = default_config) ?(secondary_limit = 50) fl ~order 
   let tests = ref [] and targeted = ref [] and n_tests = ref 0 in
   let interrupted = ref false in
   let n_inputs = Array.length (Circuit.inputs c) in
-  let good = Faultsim.good_arena wss.(0) in
+  let good = Faultsim.good_arena ws in
   let simulate_and_drop vec test_idx =
-    let pats = Patterns.of_vectors ~n_inputs [| vec |] in
-    Faultsim.load_good wss.(0) good pats 0;
-    fault_scan pool wss nf (fun _lane ws fi ->
-        if detected_by.(fi) < 0 then
-          if Int64.logand (Faultsim.detect_block ws ~good (Fault_list.get fl fi)) 1L = 1L
-          then detected_by.(fi) <- test_idx)
+    load_test ws good ~n_inputs vec;
+    for fi = 0 to nf - 1 do
+      if detected_by.(fi) < 0 && detects ws ~good fl fi then detected_by.(fi) <- test_idx
+    done
   in
   let cube_full cube = Array.for_all (fun t -> t <> Ternary.X) cube in
   Trace.span tr ~attrs:[ ("secondary_limit", Trace.Int secondary_limit) ] "engine.compact"
@@ -685,7 +485,7 @@ let run_compacting ?(config = default_config) ?(secondary_limit = 50) fl ~order 
       end)
     order;
   let tests_arr = Array.of_list (List.rev !tests) in
-  publish_result tr pool wss stats ~tests:!n_tests ~untestable:(List.length !untestable)
+  publish_result tr ws stats ~tests:!n_tests ~untestable:(List.length !untestable)
     ~aborted:(List.length !aborted) ~out_of_budget:(List.length !out_of_budget)
     ~retry_recovered:0;
   {
@@ -702,7 +502,6 @@ let run_compacting ?(config = default_config) ?(secondary_limit = 50) fl ~order 
     runtime_s = Unix.gettimeofday () -. t0;
     spec_dispatched = 0;
     spec_committed = 0;
-    spec_wasted = 0;
   }
 
 let coverage fl result =

@@ -8,6 +8,11 @@
     Faults proven untestable, aborted, or out of budget are recorded
     and skipped.
 
+    Every entry point is single-threaded, with one fault-simulation
+    workspace: a test's drop scan is one pattern wide, so splitting it
+    would mean slicing the fault list, and that lost to the plain loop
+    on every measured core count.
+
     {2 Resilience}
 
     Long runs degrade gracefully instead of dying:
@@ -27,12 +32,9 @@
       resumed from a snapshot produces exactly the result the
       uninterrupted run would have. *)
 
-type generator = Podem_gen | Dalg_gen
-
 type config = {
   backtrack_limit : int;  (** first-pass search backtrack cap (default 256) *)
   seed : int;  (** random-fill seed (default 0xAD1) *)
-  generator : generator;  (** which ATPG drives the loop (default PODEM) *)
   retries : int;
       (** escalation passes over aborted faults, each doubling the
           backtrack limit (default 1; 0 disables escalation) *)
@@ -40,21 +42,6 @@ type config = {
       (** whole-run wall-clock budget (default [None] = unlimited) *)
   per_fault_budget_s : float option;
       (** per-fault wall-clock slice (default [None] = unlimited) *)
-  jobs : int;
-      (** domain-pool size for the per-test fault-simulation scans
-          (default 1 = serial).  Purely a throughput knob: every result
-          field is identical for any value, so [jobs] takes no part in
-          checkpoint/resume matching. *)
-  window : int;
-      (** speculative-lookahead width for {!run} (default 1 = the exact
-          serial path).  With [window > 1] and [jobs > 1], the next
-          [window] not-yet-dropped faults are searched concurrently and
-          committed in strict schedule order: don't-cares are filled
-          from the run RNG at commit time, so tests, classifications,
-          statistics, checkpoints — every result field except the
-          [spec_*] waste accounting — are byte-identical to the serial
-          run.  Like [jobs], a pure throughput knob excluded from
-          checkpoint/resume matching. *)
 }
 
 val default_config : config
@@ -100,15 +87,9 @@ type result = {
   stats : Podem.stats;  (** accumulated search statistics *)
   runtime_s : float;  (** wall-clock generation time *)
   spec_dispatched : int;
-      (** speculative searches handed to the window (0 when [window]
-          is 1 or [jobs] is 1 — the serial path) *)
   spec_committed : int;
-      (** speculative searches whose outcome was committed — exactly
-          the searches the serial run performs *)
-  spec_wasted : int;
-      (** speculative searches discarded because their target was
-          dropped by a test committed after dispatch (plus any in
-          flight when a run is interrupted) *)
+      (** always 0: the engine is serial; both fields stay because
+          the benchmark probe reads them *)
 }
 
 val run :

@@ -10,21 +10,6 @@ type stats = {
 
 let fresh_stats () = { backtracks = 0; decisions = 0; implications = 0 }
 
-let copy_stats s =
-  { backtracks = s.backtracks; decisions = s.decisions; implications = s.implications }
-
-let add_stats ~into d =
-  into.backtracks <- into.backtracks + d.backtracks;
-  into.decisions <- into.decisions + d.decisions;
-  into.implications <- into.implications + d.implications
-
-let diff_stats a b =
-  {
-    backtracks = a.backtracks - b.backtracks;
-    decisions = a.decisions - b.decisions;
-    implications = a.implications - b.implications;
-  }
-
 type decision = { pi : int; mutable value : bool; mutable flipped : bool }
 
 type state = {

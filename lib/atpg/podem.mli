@@ -70,13 +70,3 @@ val generate :
 
 val fresh_stats : unit -> stats
 
-val copy_stats : stats -> stats
-(** A detached snapshot of the mutable counters. *)
-
-val add_stats : into:stats -> stats -> unit
-(** Accumulate [d] into [into] field-wise — committing one search
-    lane's effort into the run totals. *)
-
-val diff_stats : stats -> stats -> stats
-(** [diff_stats after before]: the per-search delta of a lane's
-    private counters, suitable for {!add_stats}. *)

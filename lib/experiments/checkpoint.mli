@@ -20,7 +20,7 @@ type t = {
   circuit_digest : string;  (** hex digest of the circuit's .bench text *)
   seed : int;
   order_kind : string;  (** {!Ordering.to_string} of the fault ordering *)
-  generator : string;  (** ["podem"] or ["dalg"] *)
+  generator : string;  (** always ["podem"], the engine's only search procedure *)
   backtrack_limit : int;
   retries : int;
   order : int array;  (** the exact fault permutation in use *)

@@ -92,8 +92,6 @@ let with_observability (cfg : Run_config.t) f =
             (v, report)))
   end
 
-let generator_name = function Engine.Podem_gen -> "podem" | Engine.Dalg_gen -> "dalg"
-
 (* Deliberately free of wall-clock fields: an interrupted run resumed
    from its checkpoint must render byte-identically to the
    uninterrupted run. *)
@@ -143,7 +141,9 @@ let run_atpg_with ?should_stop ~econfig (cfg : Run_config.t) circuit =
         "pipeline.order"
         (fun () -> Ordering.order order setup.Pipeline.adi)
     in
-    let generator = generator_name econfig.Engine.generator in
+    (* The engine's only search procedure; the checkpoint format keeps
+       the field so older files still load and match. *)
+    let generator = "podem" in
     let resume_snap =
       match (resume, checkpoint) with
       | false, _ | true, None -> None
@@ -244,7 +244,7 @@ let run_atpg ?(seed = 1) ?(order = Ordering.Dynm0) ?(jobs = 1) ?config ?checkpoi
   let econfig =
     match config with
     | Some c -> c
-    | None -> { Engine.default_config with Engine.seed; Engine.jobs }
+    | None -> { Engine.default_config with Engine.seed }
   in
   run_atpg_with ?should_stop ~econfig cfg circuit
 

@@ -66,11 +66,11 @@ val run_atpg_cfg :
       continues from it; a missing file starts a fresh run.  The
       checkpoint's identity block (circuit digest, seed, order,
       generator, limits) must match the current invocation.
-    - [jobs] (default 1) sizes the fault-simulation domain pool, both
-      for the ADI setup and — unless an explicit [config] overrides
-      it — for the engine.  Results are identical for any value, so it
-      is deliberately absent from the checkpoint identity: a run
-      checkpointed under one [jobs] may resume under another.
+    - [jobs] (default 1) sizes the fault-simulation domain pool of
+      the ADI setup; the engine itself is single-threaded.  Results
+      are identical for any value, so it is deliberately absent from
+      the checkpoint identity: a run checkpointed under one [jobs] may
+      resume under another.
 
     @raise Util.Diagnostics.Failed with code [Checkpoint_mismatch]
     when resuming under parameters that differ from those recorded in

@@ -95,14 +95,6 @@ let engine_specs =
       kind = String with_order_name;
     };
     {
-      names = [ "window" ];
-      docv = "W";
-      doc =
-        "Speculative test-generation lookahead (default 4*jobs; 1 forces the exact \
-         serial path). Results are bit-identical for any value.";
-      kind = Int (fun w -> Run_config.with_window (Some w));
-    };
-    {
       names = [ "backtracks" ];
       docv = "B";
       doc = "PODEM backtrack limit.";

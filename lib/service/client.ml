@@ -138,9 +138,6 @@ let attempt_exchange t payload ~budget =
     close t;
     raise e
 
-let raw t ?timeout_s payload =
-  with_retry t ?timeout_s (fun ~attempt:_ ~budget -> attempt_exchange t payload ~budget)
-
 (* --- reply decoding ----------------------------------------------- *)
 
 let decode_response t reply =

@@ -134,7 +134,3 @@ val request :
     errors) and returns the reply payload: [Ok result] or a typed
     error reply (other than overload, which is retried).
     @raise Util.Diagnostics.Failed as {!call_exn}. *)
-
-val raw : t -> ?timeout_s:float -> string -> string
-(** One raw payload exchange under the same transport-level retry (no
-    reply parsing, no overload backoff) — protocol debugging. *)

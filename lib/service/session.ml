@@ -15,8 +15,6 @@ type t = {
   mutable n_requests : int;
   mutable n_errors : int;
   mutable n_shed : int;  (* requests refused by admission control *)
-  mutable spec_committed : int;  (* speculative ATPG totals across requests *)
-  mutable spec_wasted : int;
   (* Collapse-stage totals over fresh (non-cached) preparations. *)
   mutable collapse_full : int;
   mutable collapse_classes : int;
@@ -42,7 +40,6 @@ let create ?(capacity = 8) ?spill_dir ?(shared_spill = false) ?(jobs = 1) ?reque
   { store = Store.create ~capacity ?spill_dir ~write_through:shared_spill (); jobs;
     request_budget_s; clock; tracer;
     lock = Mutex.create (); created_s = clock (); n_requests = 0; n_errors = 0; n_shed = 0;
-    spec_committed = 0; spec_wasted = 0;
     collapse_full = 0; collapse_classes = 0; collapse_prime = 0; collapse_probes = 0;
     runtime = (fun () -> []) }
 
@@ -86,6 +83,13 @@ let int_param params k = typed_param params k Json.to_int ~expected:"an integer"
 let float_param params k = typed_param params k Json.to_float ~expected:"a number"
 let str_param params k = typed_param params k Json.to_str ~expected:"a string"
 
+(* The engine no longer reads [window], but existing clients send it:
+   a bad value still gets the same E-flag, and the atpg reply echoes
+   it. *)
+let check_window w cfg =
+  if w < 1 then Diagnostics.fail Diagnostics.Invalid_flag "--window must be at least 1 (got %d)" w;
+  cfg
+
 (* The request's Run_config: session defaults overlaid with the
    explicit parameters, validated by the [with_*] builders so
    out-of-range values surface as the same [E-flag] diagnostics the
@@ -99,7 +103,7 @@ let config_of_params t params =
   |> apply (float_param params "target_coverage") Run_config.with_target_coverage
   |> apply (int_param params "jobs") Run_config.with_jobs
   |> apply (int_param params "block_width") Run_config.with_block_width
-  |> apply (int_param params "window") (fun w -> Run_config.with_window (Some w))
+  |> apply (int_param params "window") check_window
   |> apply (str_param params "kernel") Run_flags.with_kernel_name
   |> apply (str_param params "order") Run_flags.with_order_name
   |> apply (int_param params "backtracks") Run_config.with_backtrack_limit
@@ -207,11 +211,10 @@ let handle_order t params budget =
     @ [ ("order", Json.Str (Ordering.to_string cfg.Run_config.order));
         ("permutation", Json.Arr (Array.to_list (Array.map (fun i -> Json.Int i) shown))) ])
 
-let handle_atpg t params budget =
-  let cfg, key, setup, cached = prepared t params budget in
-  (* Thread what remains of the request deadline into the engine's run
-     budget, so a long generation stops at a fault boundary instead of
-     outliving the request. *)
+(* Thread what remains of the request deadline into the engine's run
+   budget, so a long generation stops at a fault boundary instead of
+   outliving the request. *)
+let run_engine cfg setup budget =
   let ecfg = Run_config.engine_config cfg in
   let ecfg =
     if Budget.is_unlimited budget then ecfg
@@ -224,13 +227,14 @@ let handle_atpg t params budget =
       in
       { ecfg with Engine.time_budget_s = Some run_budget }
   in
-  let run = Pipeline.run_order_with ecfg setup cfg.Run_config.order in
-  let e = run.Pipeline.engine in
+  let e = (Pipeline.run_order_with ecfg setup cfg.Run_config.order).Pipeline.engine in
   if e.Engine.interrupted then
     Diagnostics.fail Diagnostics.Budget_expired "request budget expired during test generation";
-  locked t (fun () ->
-      t.spec_committed <- t.spec_committed + e.Engine.spec_committed;
-      t.spec_wasted <- t.spec_wasted + e.Engine.spec_wasted);
+  e
+
+let handle_atpg t params budget =
+  let cfg, key, setup, cached = prepared t params budget in
+  let e = run_engine cfg setup budget in
   Json.Obj
     (setup_reply_fields key cached setup
     @ [ ("order", Json.Str (Ordering.to_string cfg.Run_config.order));
@@ -243,10 +247,11 @@ let handle_atpg t params budget =
         ("aborted", Json.Int (List.length e.Engine.aborted));
         ("out_of_budget", Json.Int (List.length e.Engine.out_of_budget));
         ("retry_recovered", Json.Int e.Engine.retry_recovered);
-        ("window", Json.Int ecfg.Engine.window);
-        ("spec_dispatched", Json.Int e.Engine.spec_dispatched);
-        ("spec_committed", Json.Int e.Engine.spec_committed);
-        ("spec_wasted", Json.Int e.Engine.spec_wasted) ])
+        (* Kept so existing clients and reply pins see the same shape. *)
+        ("window",
+         Json.Int (Option.value (int_param params "window") ~default:(4 * cfg.Run_config.jobs)));
+        ("spec_dispatched", Json.Int 0); ("spec_committed", Json.Int 0);
+        ("spec_wasted", Json.Int 0) ])
 
 (* --- diagnose ----------------------------------------------------- *)
 
@@ -254,7 +259,7 @@ let handle_atpg t params budget =
    of '0'/'1' vectors, or the ATPG test set for the request's
    configuration (deterministic given the setup key, so the dictionary
    cache key only needs the marker). *)
-let diagnose_tests t params budget cfg (setup : Pipeline.setup) =
+let diagnose_tests params budget cfg (setup : Pipeline.setup) =
   match param params "tests" with
   | Some (Json.Arr rows) ->
       let strs =
@@ -278,26 +283,7 @@ let diagnose_tests t params budget cfg (setup : Pipeline.setup) =
       (pats, Digest.to_hex (Digest.string (String.concat "\n" strs)))
   | Some _ -> fail_protocol "\"tests\" must be an array of '0'/'1' vector strings"
   | None ->
-      let ecfg = Run_config.engine_config cfg in
-      let ecfg =
-        if Budget.is_unlimited budget then ecfg
-        else
-          let remaining = Budget.remaining_s budget in
-          let run_budget =
-            match ecfg.Engine.time_budget_s with
-            | Some s -> Float.min s remaining
-            | None -> remaining
-          in
-          { ecfg with Engine.time_budget_s = Some run_budget }
-      in
-      let run = Pipeline.run_order_with ecfg setup cfg.Run_config.order in
-      let e = run.Pipeline.engine in
-      if e.Engine.interrupted then
-        Diagnostics.fail Diagnostics.Budget_expired
-          "request budget expired during test generation";
-      locked t (fun () ->
-          t.spec_committed <- t.spec_committed + e.Engine.spec_committed;
-          t.spec_wasted <- t.spec_wasted + e.Engine.spec_wasted);
+      let e = run_engine cfg setup budget in
       (e.Engine.tests, Printf.sprintf "atpg:%s" (Ordering.to_string cfg.Run_config.order))
 
 let decode_fails ~applied params =
@@ -356,7 +342,7 @@ let decode_responses dict params =
 
 let handle_diagnose t params budget =
   let cfg, key, setup, cached = prepared t params budget in
-  let tests, tests_digest = diagnose_tests t params budget cfg setup in
+  let tests, tests_digest = diagnose_tests params budget cfg setup in
   check_budget budget ~phase:"before dictionary build";
   let dkey = Store.dict_key ~setup_key:key ~tests_digest in
   let dict, dict_cached =
@@ -427,10 +413,9 @@ let handle_diagnose t params budget =
 
 let handle_stats t =
   let s = Store.stats t.store in
-  let requests, errors, spec_committed, spec_wasted, cf, cc, cp, cb =
+  let requests, errors, cf, cc, cp, cb =
     locked t (fun () ->
-        ( t.n_requests, t.n_errors, t.spec_committed, t.spec_wasted,
-          t.collapse_full, t.collapse_classes, t.collapse_prime, t.collapse_probes ))
+        ( t.n_requests, t.n_errors, t.collapse_full, t.collapse_classes, t.collapse_prime, t.collapse_probes ))
   in
   Json.Obj
     [ ("version", Json.Str Util.Version.version); ("requests", Json.Int requests);
@@ -444,7 +429,8 @@ let handle_stats t =
       ("dict_spill_hits", Json.Int s.Store.dict_spill_hits);
       ("dict_misses", Json.Int s.Store.dict_misses);
       ("jobs", Json.Int t.jobs);
-      ("spec_committed", Json.Int spec_committed); ("spec_wasted", Json.Int spec_wasted);
+      (* Always 0 since the engine went serial; kept for stats clients. *)
+      ("spec_committed", Json.Int 0); ("spec_wasted", Json.Int 0);
       (* Fault-universe reduction over fresh preparations: full
          universe, equivalence classes, dominance survivors, and the
          expansion-map (probe) size the simulator actually visits. *)

@@ -1,60 +1,39 @@
 (* Each worker owns a FIFO job queue guarded by its own mutex; the
-   leader pushes closures, workers pop and run them in order.  Jobs
-   signal their own completion (a latch for fork-join groups, a result
-   cell for window tickets), so the two submission styles — the
-   barrier-style [run] and the ordered sliding [Window] — share one
-   worker loop and can even interleave on the same pool: a fault-scan
-   group enqueued behind window tickets simply runs after them. *)
+   leader pushes fork-join groups, workers pop and run them in order.
+   Each group signals its own completion through a latch. *)
 
 type worker = {
   mutex : Mutex.t;
   cond : Condition.t;
   queue : (unit -> unit) Queue.t;  (* fork-join groups; jobs must never raise *)
-  low : (unit -> unit) Queue.t;
-      (* window tickets — lower priority, so a fault-scan group a
-         leader is blocked on never waits behind a window of
-         speculative searches *)
   mutable quit : bool;
   mutable domain : unit Domain.t option;
 }
 
-type t = {
-  size : int;
-  workers : worker array;
-  mutable alive : bool;
-  track : bool;
-  busy : float array;  (* per executing domain; slot 0 is the leader *)
-}
+type t = { size : int; workers : worker array; mutable alive : bool }
 
 let default_jobs () = Domain.recommended_domain_count ()
 
 (* Workers drain their queue before honouring [quit], so a shutdown
    never strands a submitted job (its completion would wedge the
    leader). *)
-let worker_loop pool slot w =
+let worker_loop w =
   let rec loop () =
     Mutex.lock w.mutex;
-    while Queue.is_empty w.queue && Queue.is_empty w.low && not w.quit do
+    while Queue.is_empty w.queue && not w.quit do
       Condition.wait w.cond w.mutex
     done;
-    if Queue.is_empty w.queue && Queue.is_empty w.low then Mutex.unlock w.mutex
+    if Queue.is_empty w.queue then Mutex.unlock w.mutex
     else begin
-      let job = if Queue.is_empty w.queue then Queue.pop w.low else Queue.pop w.queue in
+      let job = Queue.pop w.queue in
       Mutex.unlock w.mutex;
-      (* Busy tracking: each executing domain writes only its own slot,
-         and the leader reads them after a join — no races. *)
-      if pool.track then begin
-        let t0 = Budget.default_clock () in
-        job ();
-        pool.busy.(slot) <- pool.busy.(slot) +. (Budget.default_clock () -. t0)
-      end
-      else job ();
+      job ();
       loop ()
     end
   in
   loop ()
 
-let create ?jobs ?(track = false) () =
+let create ?jobs () =
   let jobs = match jobs with None -> default_jobs () | Some j -> j in
   if jobs < 1 then invalid_arg "Parallel.create: jobs must be at least 1";
   let jobs = min jobs 128 in
@@ -66,13 +45,10 @@ let create ?jobs ?(track = false) () =
   let workers =
     Array.init spawned (fun _ ->
         { mutex = Mutex.create (); cond = Condition.create (); queue = Queue.create ();
-          low = Queue.create (); quit = false; domain = None })
+          quit = false; domain = None })
   in
-  let t = { size = jobs; workers; alive = true; track; busy = Array.make (spawned + 1) 0.0 } in
-  Array.iteri
-    (fun i w -> w.domain <- Some (Domain.spawn (fun () -> worker_loop t (i + 1) w)))
-    workers;
-  t
+  Array.iter (fun w -> w.domain <- Some (Domain.spawn (fun () -> worker_loop w))) workers;
+  { size = jobs; workers; alive = true }
 
 let jobs t = t.size
 
@@ -89,23 +65,13 @@ let shutdown t =
     Array.iter (fun w -> Option.iter Domain.join w.domain) t.workers
   end
 
-let with_pool ?jobs ?track f =
-  let t = create ?jobs ?track () in
+let with_pool ?jobs f =
+  let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-let lane_busy_s t = Array.copy t.busy
-
-let reset_lane_busy t = Array.fill t.busy 0 (Array.length t.busy) 0.0
 
 let enqueue w job =
   Mutex.lock w.mutex;
   Queue.push job w.queue;
-  Condition.broadcast w.cond;
-  Mutex.unlock w.mutex
-
-let enqueue_low w job =
-  Mutex.lock w.mutex;
-  Queue.push job w.low;
   Condition.broadcast w.cond;
   Mutex.unlock w.mutex
 
@@ -151,14 +117,7 @@ let run t tasks =
       (* Group closures never raise, so the latch always fires. *)
       enqueue t.workers.(j - 1) (fun () -> group j (); fire l)
     done;
-    (* The leader runs its own share, tracking its busy time like the
-       worker loop does for queued jobs. *)
-    if t.track then begin
-      let t0 = Budget.default_clock () in
-      group 0 ();
-      t.busy.(0) <- t.busy.(0) +. (Budget.default_clock () -. t0)
-    end
-    else group 0 ();
+    group 0 ();
     Array.iter await latches;
     Array.iter (function Some e -> raise e | None -> ()) outcomes
   end
@@ -187,80 +146,3 @@ let map_slices t n f =
            fun () -> out.(i) <- Some (f ~lo ~hi)));
     Array.map (function Some v -> v | None -> assert false) out
   end
-
-let fold t n ~map ~combine ~init = Array.fold_left combine init (map_slices t n map)
-
-(* --- ordered sliding window ---------------------------------------- *)
-
-type pool = t
-
-module Window = struct
-  type 'a state = Pending | Ok of 'a | Exn of exn
-
-  type 'a cell = { mutable state : 'a state }
-
-  type 'a t = {
-    pool : pool;
-    cap : int;
-    cells : 'a cell Queue.t;  (* outstanding tickets, oldest first *)
-    wm : Mutex.t;
-    wcv : Condition.t;
-    mutable seq : int;  (* tickets ever submitted; fixes the executor *)
-  }
-
-  let create pool ~capacity =
-    if capacity < 1 then invalid_arg "Parallel.Window.create: capacity must be at least 1";
-    { pool; cap = capacity; cells = Queue.create (); wm = Mutex.create ();
-      wcv = Condition.create (); seq = 0 }
-
-  let capacity w = w.cap
-
-  let in_flight w = Queue.length w.cells
-
-  let executors w = max 1 (Array.length w.pool.workers)
-
-  let submit w f =
-    let p = w.pool in
-    if not p.alive then invalid_arg "Parallel.Window.submit: pool is shut down";
-    if Queue.length w.cells >= w.cap then invalid_arg "Parallel.Window.submit: window is full";
-    let cell = { state = Pending } in
-    Queue.push cell w.cells;
-    let nw = Array.length p.workers in
-    if nw = 0 then
-      (* No workers (serial pool or single-core cap): execute inline so
-         the window degenerates to eager evaluation in submit order. *)
-      cell.state <- (match f ~exec:0 with v -> Ok v | exception e -> Exn e)
-    else begin
-      (* Round-robin by submission sequence: an executor runs its
-         tickets in FIFO order, so per-executor workspaces are reused
-         without ever being shared. *)
-      let exec = w.seq mod nw in
-      enqueue_low p.workers.(exec)
-        (fun () ->
-          let r = match f ~exec with v -> Ok v | exception e -> Exn e in
-          Mutex.lock w.wm;
-          cell.state <- r;
-          Condition.broadcast w.wcv;
-          Mutex.unlock w.wm)
-    end;
-    w.seq <- w.seq + 1
-
-  let collect w =
-    match Queue.take_opt w.cells with
-    | None -> invalid_arg "Parallel.Window.collect: no ticket in flight"
-    | Some cell ->
-        Mutex.lock w.wm;
-        while cell.state = Pending do
-          Condition.wait w.wcv w.wm
-        done;
-        Mutex.unlock w.wm;
-        (match cell.state with
-        | Ok v -> v
-        | Exn e -> raise e
-        | Pending -> assert false)
-
-  let drain w =
-    while in_flight w > 0 do
-      match collect w with v -> ignore v | exception _ -> ()
-    done
-end

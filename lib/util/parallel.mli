@@ -12,38 +12,20 @@
     All partitioning is {e static}: [parallel_for]/[map_slices] cut the
     index range into at most [jobs] contiguous slices whose boundaries
     depend only on the range length and the pool size, never on
-    scheduling.  Combined with slice-ordered reduction ({!fold}), any
-    computation whose slices write disjoint state is bit-identical to
-    its serial execution regardless of how domains interleave.
-
-    Two submission styles share the same workers:
-
-    - {!run} (and the helpers built on it) — fork-join: a barrier of
-      lane-sized groups, the caller executing a share itself.
-    - {!Window} — an ordered sliding window of independent tickets,
-      collected strictly in submission order: the primitive behind
-      speculative test generation (and reusable by any pipeline stage
-      that wants lookahead with deterministic commit order).
-
-    Both styles share the workers: each style's jobs run in FIFO order
-    per worker, and fork-join groups take priority over window tickets
-    (a caller blocked on {!run} never waits behind a window of
-    speculative work). *)
+    scheduling, and {!map_slices} returns its results in slice order.
+    Any computation whose slices write disjoint state is therefore
+    bit-identical to its serial execution regardless of how domains
+    interleave. *)
 
 type t
-
-type pool = t
-(** Alias so {!Window}'s signature can name the pool type. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the pool size the CLI's
     [--jobs] flag defaults to. *)
 
-val create : ?jobs:int -> ?track:bool -> unit -> t
+val create : ?jobs:int -> unit -> t
 (** Spawn a pool of [jobs] lanes (default {!default_jobs}; values above
-    128 are clamped to the domain limit).  [track] (default [false])
-    turns on per-domain busy-time accounting ({!lane_busy_s}) at the
-    cost of two clock reads per executed job.
+    128 are clamped to the domain limit).
     @raise Invalid_argument if [jobs < 1]. *)
 
 val jobs : t -> int
@@ -54,17 +36,9 @@ val shutdown : t -> unit
 (** Join all worker domains (each drains its queued jobs first).
     Idempotent; the pool is unusable afterwards. *)
 
-val with_pool : ?jobs:int -> ?track:bool -> (t -> 'a) -> 'a
+val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] with a fresh pool and shuts it down when [f]
     returns or raises. *)
-
-val lane_busy_s : t -> float array
-(** Accumulated busy seconds per executing domain (slot 0 is the
-    calling domain), all zeros unless the pool was created with
-    [track:true].  Read between {!run} calls — the snapshot is only
-    coherent after a join. *)
-
-val reset_lane_busy : t -> unit
 
 val run : t -> (unit -> unit) array -> unit
 (** [run t tasks] executes every task exactly once, dealing them out in
@@ -83,58 +57,3 @@ val map_slices : t -> int -> (lo:int -> hi:int -> 'a) -> 'a array
 (** [map_slices t n f] cuts [0 .. n-1] into [min (jobs t) n] contiguous
     slices, evaluates [f ~lo ~hi] on each concurrently, and returns the
     results in slice order.  Empty for [n = 0]. *)
-
-val fold :
-  t -> int -> map:(lo:int -> hi:int -> 'a) -> combine:('a -> 'a -> 'a) -> init:'a -> 'a
-(** Ordered reduce: [combine] is applied left-to-right over
-    {!map_slices} results, so non-commutative combines are
-    deterministic. *)
-
-(** An ordered sliding window of speculative tickets over a pool.
-
-    {!Window.submit} hands a closure to one of the pool's worker
-    domains; {!Window.collect} blocks for — and returns — the result
-    of the {e oldest} outstanding ticket, so results always come back
-    in submission order no matter how the workers interleave.
-
-    Tickets are dealt round-robin over the workers by submission
-    sequence number, and each worker runs its tickets in FIFO order —
-    so a caller may safely hand ticket [k] resources private to
-    executor [k mod executors] (the [exec] argument): two tickets on
-    the same executor never overlap.
-
-    On a pool with no spawned workers (one lane, or a single-core
-    domain cap) tickets execute inline during [submit], preserving the
-    submit-order semantics with zero parallelism — the degenerate
-    reference path. *)
-module Window : sig
-  type 'a t
-
-  val create : pool -> capacity:int -> 'a t
-  (** A window over [pool] holding at most [capacity] outstanding
-      tickets.  @raise Invalid_argument if [capacity < 1]. *)
-
-  val capacity : 'a t -> int
-
-  val in_flight : 'a t -> int
-  (** Submitted but not yet collected tickets. *)
-
-  val executors : 'a t -> int
-  (** Distinct executors tickets are dealt over (≥ 1); the [exec]
-      argument of a submitted closure is in [0 .. executors-1]. *)
-
-  val submit : 'a t -> (exec:int -> 'a) -> unit
-  (** Enqueue a ticket on executor [seq mod executors].
-      @raise Invalid_argument if the window is full or the pool is
-      shut down. *)
-
-  val collect : 'a t -> 'a
-  (** Block for the oldest outstanding ticket and return its result
-      (re-raising the ticket's exception, if it raised).
-      @raise Invalid_argument if nothing is in flight. *)
-
-  val drain : 'a t -> unit
-  (** Collect and discard every outstanding ticket (swallowing ticket
-      exceptions) — the abandon path when a run is interrupted
-      mid-window. *)
-end

@@ -277,11 +277,10 @@ let fill_cube_respects_assignments () =
     check Alcotest.bool "pos 2" false v.(2)
   done
 
-(* --- speculative window -------------------------------------------- *)
+(* --- determinism ----------------------------------------------------- *)
 
-(* Everything the engine promises to keep byte-identical across
-   [jobs]/[window]: vectors, classifications, recovery/interrupt
-   status and the accumulated search statistics. *)
+(* Everything a resumed run must reproduce: vectors, classifications,
+   recovery/interrupt status and the accumulated search statistics. *)
 let result_fingerprint (r : Engine.result) =
   ( List.init (Patterns.count r.Engine.tests) (Patterns.vector r.Engine.tests),
     (r.Engine.detected_by, r.Engine.targeted),
@@ -289,115 +288,52 @@ let result_fingerprint (r : Engine.result) =
     (r.Engine.retry_recovered, r.Engine.interrupted),
     r.Engine.stats )
 
-let spec_accounting_ok (r : Engine.result) =
-  r.Engine.spec_dispatched = r.Engine.spec_committed + r.Engine.spec_wasted
-  && r.Engine.spec_wasted >= 0
-
-(* CI sweeps ADI_WINDOW (with ADI_JOBS) so the parity properties also
-   run at the matrix's window widths. *)
-let env_window =
-  match Sys.getenv_opt "ADI_WINDOW" with
-  | Some s -> ( match int_of_string_opt s with Some w when w >= 1 -> w | _ -> 16)
-  | None -> 16
-
-let env_jobs =
-  match Sys.getenv_opt "ADI_JOBS" with
-  | Some s -> ( match int_of_string_opt s with Some j when j >= 1 -> j | _ -> 4)
-  | None -> 4
-
-let spec_parity =
-  QCheck.Test.make ~name:"speculative window byte-identical to serial" ~count:12 arb_circuit
-  @@ fun c ->
-  let fl = Collapse.collapsed c in
-  let order = Array.init (Fault_list.count fl) Fun.id in
-  (* A tight limit provokes aborts and retry passes, so the parity
-     covers escalation schedules too. *)
-  let cfg = { Engine.default_config with Engine.backtrack_limit = 32; Engine.retries = 2 } in
-  let fp = result_fingerprint (Engine.run fl ~order ~config:cfg) in
-  List.for_all
-    (fun (jobs, window) ->
-      let r = Engine.run fl ~order ~config:{ cfg with Engine.jobs; window } in
-      result_fingerprint r = fp && spec_accounting_ok r)
-    [ (2, 1); (2, 3); (2, env_window); (4, 1); (4, 3); (4, env_window) ]
-
-let spec_parity_dalg =
-  QCheck.Test.make ~name:"speculative window parity under the D-algorithm" ~count:8 arb_circuit
-  @@ fun c ->
-  let fl = Collapse.collapsed c in
-  let order = Array.init (Fault_list.count fl) Fun.id in
-  let cfg =
-    { Engine.default_config with
-      Engine.generator = Engine.Dalg_gen; backtrack_limit = 32; retries = 1 }
-  in
-  let fp = result_fingerprint (Engine.run fl ~order ~config:cfg) in
-  let r = Engine.run fl ~order ~config:{ cfg with Engine.jobs = env_jobs; window = 8 } in
-  result_fingerprint r = fp && spec_accounting_ok r
-
-let spec_env_matrix_parity () =
-  (* The CI matrix's (ADI_JOBS, ADI_WINDOW) point against the serial
-     reference, on a circuit big enough to fill windows repeatedly. *)
-  let c = Library.multiplier ~width:4 in
-  let fl = Collapse.collapsed c in
-  let order = Array.init (Fault_list.count fl) Fun.id in
-  let cfg = { Engine.default_config with Engine.backtrack_limit = 16; Engine.retries = 3 } in
-  let serial = Engine.run fl ~order ~config:cfg in
-  let spec =
-    Engine.run fl ~order ~config:{ cfg with Engine.jobs = env_jobs; window = env_window }
-  in
-  check Alcotest.bool "byte-identical result" true
-    (result_fingerprint spec = result_fingerprint serial);
-  check Alcotest.bool "waste accounting consistent" true (spec_accounting_ok spec);
-  check Alcotest.int "serial path never dispatches" 0 serial.Engine.spec_dispatched;
-  if env_jobs > 1 && env_window > 1 then
-    check Alcotest.bool "speculation engaged" true (spec.Engine.spec_dispatched > 0)
-
 let spec_resume_mid_window () =
-  (* Interrupt a speculative run mid-window.  Snapshots only exist at
-     commit boundaries, so the in-flight window is abandoned (counted
-     as waste) and the resumed run — speculative or serial — must
-     reproduce the uninterrupted result exactly. *)
+  (* Stop inside an escalation pass, not the first pass, and resume:
+     the pass structure in the snapshot must carry the run on to the
+     uninterrupted result. *)
   let c = Library.multiplier ~width:3 in
   let fl = Collapse.collapsed c in
-  let order = Array.init (Fault_list.count fl) Fun.id in
-  let spec_cfg = { Engine.default_config with Engine.jobs = 4; window = 8 } in
-  let full = Engine.run fl ~order ~config:spec_cfg in
+  let nf = Fault_list.count fl in
+  let order = Array.init nf Fun.id in
+  let config = { Engine.default_config with Engine.backtrack_limit = 1; retries = 3 } in
+  let full = Engine.run fl ~order ~config in
+  (* One poll per schedule position: the first pass has [nf]. *)
   let polls = ref 0 in
   let stopped =
-    Engine.run fl ~order ~config:spec_cfg
-      ~should_stop:(fun () -> incr polls; !polls > 5)
+    Engine.run fl ~order ~config ~should_stop:(fun () -> incr polls; !polls > nf + 1)
   in
-  check Alcotest.bool "interrupted" true stopped.Engine.interrupted;
-  check Alcotest.bool "abandoned window counted as waste" true (spec_accounting_ok stopped);
   let snap = Option.get stopped.Engine.snapshot in
-  List.iter
-    (fun cfg ->
-      let resumed = Engine.run fl ~order ~config:cfg ~resume:snap in
-      check Alcotest.bool "completed" false resumed.Engine.interrupted;
-      check Alcotest.bool "resume reproduces the uninterrupted run" true
-        (result_fingerprint resumed = result_fingerprint full))
-    [ spec_cfg; { spec_cfg with Engine.jobs = 1; window = 1 } ]
+  check Alcotest.bool "stopped in an escalation pass" true (snap.Engine.snap_pass >= 1);
+  let resumed = Engine.run fl ~order ~config ~resume:snap in
+  check Alcotest.bool "completed" false resumed.Engine.interrupted;
+  check Alcotest.bool "resume reproduces the uninterrupted run" true
+    (result_fingerprint resumed = result_fingerprint full)
 
 let spec_report_identical () =
   (* The harness report (the user-visible summary) is byte-identical
-     between the serial and speculative paths. *)
+     for any [jobs]: it sizes only the setup's simulation pool. *)
   let c = Library.multiplier ~width:4 in
   let run cfg = (Harness.run_atpg_cfg cfg c).Harness.report in
   let base = Run_config.default |> Run_config.with_backtrack_limit 16 in
-  let serial = run (base |> Run_config.with_jobs 1) in
-  let spec =
-    run (base |> Run_config.with_jobs 4 |> Run_config.with_window (Some 16))
-  in
-  check Alcotest.string "reports byte-identical" serial spec
+  check Alcotest.string "reports byte-identical" (run (base |> Run_config.with_jobs 1))
+    (run (base |> Run_config.with_jobs 4))
 
 let engine_rejects_bad_window () =
-  let c = Library.c17 () in
-  let fl = Collapse.collapsed c in
-  let order = Array.init (Fault_list.count fl) Fun.id in
-  check Alcotest.bool "window 0 rejected" true
-    (try
-       ignore (Engine.run fl ~order ~config:{ Engine.default_config with Engine.window = 0 });
-       false
-     with Invalid_argument _ -> true)
+  (* [window] survives only as a validated service parameter: every
+     op still rejects a value below 1 with the flag-error code. *)
+  let t = Service.Session.create ~capacity:1 () in
+  List.iter
+    (fun op ->
+      match
+        (Service.Session.handle t
+           (Service.Protocol.single op
+              [ ("circuit", Util.Json.Str "c17"); ("window", Util.Json.Int 0) ]))
+          .Service.Protocol.payload
+      with
+      | Error e -> check Alcotest.string (op ^ ": window 0 rejected") "E-flag" e.Service.Protocol.code
+      | Ok _ -> Alcotest.failf "%s accepted window 0" op)
+    [ "load"; "atpg" ]
 
 (* --- compaction --------------------------------------------------- *)
 
@@ -573,14 +509,6 @@ let dalg_c17_all_testable () =
   done
 
 
-let engine_with_dalg_on_c17 () =
-  let c = Library.c17 () in
-  let fl = Collapse.collapsed c in
-  let config = { Engine.default_config with Engine.generator = Engine.Dalg_gen } in
-  let r = Engine.run ~config fl ~order:(Array.init (Fault_list.count fl) Fun.id) in
-  check (Alcotest.float 0.0001) "full coverage via D-alg" 1.0 (Engine.coverage fl r)
-
-
 (* --- transition faults ---------------------------------------------- *)
 
 let transition_pairs_valid =
@@ -686,7 +614,6 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "c17 full coverage" `Quick engine_full_coverage_on_c17;
-          Alcotest.test_case "c17 via D-alg engine" `Quick engine_with_dalg_on_c17;
           qtest compacting_engine_sound;
           qtest n_detect_reaches_multiplicity;
           Alcotest.test_case "rejects bad order" `Quick engine_rejects_bad_order;
@@ -695,9 +622,6 @@ let () =
           Alcotest.test_case "resume determinism" `Quick engine_resume_determinism;
           Alcotest.test_case "fill cube" `Quick fill_cube_respects_assignments;
           qtest engine_order_affects_result;
-          qtest spec_parity;
-          qtest spec_parity_dalg;
-          Alcotest.test_case "speculation at CI matrix point" `Quick spec_env_matrix_parity;
           Alcotest.test_case "resume mid-window" `Quick spec_resume_mid_window;
           Alcotest.test_case "speculative report identical" `Quick spec_report_identical;
           Alcotest.test_case "rejects window 0" `Quick engine_rejects_bad_window;

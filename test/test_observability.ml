@@ -235,10 +235,7 @@ let run_config_defaults () =
   check Alcotest.int "backtracks" Engine.default_config.Engine.backtrack_limit
     e.Engine.backtrack_limit;
   check Alcotest.int "retries" Engine.default_config.Engine.retries e.Engine.retries;
-  check Alcotest.bool "generator" true
-    (e.Engine.generator = Engine.default_config.Engine.generator);
   check Alcotest.int "seed follows the pipeline seed" 1 e.Engine.seed;
-  check Alcotest.int "jobs" 1 e.Engine.jobs;
   check Alcotest.bool "no budgets" true
     (e.Engine.time_budget_s = None && e.Engine.per_fault_budget_s = None);
   check Alcotest.bool "observability off by default" false

@@ -370,13 +370,25 @@ let stats_report_spec_counters () =
           (order_params @ [ ("jobs", Json.Int 4); ("window", Json.Int 16) ])));
   match Session.handle t (Protocol.single ~id:2 "stats" []) with
   | { Protocol.payload = Ok (Protocol.Result result); _ } ->
+      (* The engine is serial; both keys stay, pinned at 0, for stats
+         clients. *)
       let geti k = Option.bind (Json.member k result) Json.to_int in
-      Alcotest.(check bool) "spec_committed present" true (geti "spec_committed" <> None);
-      Alcotest.(check bool) "spec_wasted present" true (geti "spec_wasted" <> None);
-      Alcotest.(check bool) "committed counted" true
-        (match geti "spec_committed" with Some n -> n > 0 | None -> false)
+      check (Alcotest.option Alcotest.int) "spec_committed is 0" (Some 0) (geti "spec_committed");
+      check (Alcotest.option Alcotest.int) "spec_wasted is 0" (Some 0) (geti "spec_wasted")
   | { Protocol.payload = Ok _; _ } -> Alcotest.fail "unexpected reply shape"
   | { Protocol.payload = Error e; _ } -> Alcotest.fail e.Protocol.message
+
+let atpg_reply_bytes_pinned () =
+  (* Wire compatibility: the exact bytes of a cold c17 atpg reply, for
+     an explicit jobs/window pair and for the default window, with the
+     spec_* counters at 0. *)
+  let md5 params =
+    let t = Session.create ~capacity:4 () in
+    Digest.to_hex (Digest.string (reply_string t (Protocol.single "atpg" (order_params @ params))))
+  in
+  check Alcotest.string "jobs 4, window 16" "f0957c7a5bc4be3afe967fa08d2c1adb"
+    (md5 [ ("jobs", Json.Int 4); ("window", Json.Int 16) ]);
+  check Alcotest.string "default window" "c646b3d6454361a44e3a07fdfbfb4e3e" (md5 [])
 
 (* ---------- end-to-end over a Unix socket ------------------------- *)
 
@@ -457,6 +469,44 @@ let server_end_to_end () =
   Domain.join srv;
   Alcotest.(check bool) "socket file removed on drain" false (Sys.file_exists path)
 
+(* A raw frame written straight onto a live server's socket must come
+   back as a typed error, and the same connection must still answer
+   [health] afterwards. *)
+let raw_frame_rejected frame ~message () =
+  let path = temp_socket_path () in
+  let session = Session.create ~capacity:1 () in
+  let server =
+    Server.create ~workers:1 ~backlog:1 (Session.backend session) (Server.Unix_socket path)
+  in
+  let srv = Domain.spawn (fun () -> Server.serve server) in
+  let fd = connect_with_retry path in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (round_trip fd (Protocol.single ~id:3 "shutdown" []));
+      Unix.close fd;
+      Domain.join srv)
+  @@ fun () ->
+  Protocol.write_frame fd frame;
+  (match Option.map (fun raw -> Result.bind (Json.of_string raw) Protocol.response_of_json)
+           (Protocol.read_frame fd) with
+  | Some (Ok { Protocol.payload = Error e; _ }) ->
+      check Alcotest.string "typed protocol error" "E-protocol" e.Protocol.code;
+      check Alcotest.string "error message" message e.Protocol.message
+  | _ -> Alcotest.fail "expected a typed error reply");
+  match (round_trip fd (Protocol.single ~id:2 "health" [])).Protocol.payload with
+  | Ok (Protocol.Result _) -> ()
+  | _ -> Alcotest.fail "connection no longer answers health"
+
+let malformed_frame_rejected =
+  raw_frame_rejected "nonsense" ~message:"malformed request: bad literal at offset 0"
+
+let unknown_op_rejected =
+  raw_frame_rejected {|{"id":9,"op":"frobnicate"}|}
+    ~message:
+      "unknown op \"frobnicate\" (protocol v1; expected one of: load, adi, order, atpg, \
+       diagnose, stats, health, evict, shutdown, hello, batch_adi, batch_order, batch_atpg, \
+       batch_diagnose)"
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -478,6 +528,9 @@ let () =
           Alcotest.test_case "jobs and offline order agree" `Quick replies_match_offline_pipeline;
           Alcotest.test_case "offline atpg agrees" `Quick atpg_matches_offline_pipeline;
           Alcotest.test_case "atpg window param" `Quick atpg_window_param;
-          Alcotest.test_case "stats report spec counters" `Quick stats_report_spec_counters ] );
+          Alcotest.test_case "stats report spec counters" `Quick stats_report_spec_counters;
+          Alcotest.test_case "atpg reply bytes pinned" `Quick atpg_reply_bytes_pinned ] );
       ( "server",
-        [ Alcotest.test_case "concurrent end to end" `Quick server_end_to_end ] ) ]
+        [ Alcotest.test_case "concurrent end to end" `Quick server_end_to_end;
+          Alcotest.test_case "malformed frame rejected" `Quick malformed_frame_rejected;
+          Alcotest.test_case "unknown op rejected" `Quick unknown_op_rejected ] ) ]

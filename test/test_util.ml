@@ -303,23 +303,6 @@ let par_exception_propagates () =
   Parallel.run pool [| (fun () -> ok := true) |];
   check Alcotest.bool "pool usable after exception" true !ok
 
-let par_fold_ordered () =
-  (* A non-commutative combine exposes any reduce-order dependence. *)
-  Parallel.with_pool ~jobs:5 @@ fun pool ->
-  let n = 57 in
-  let digits =
-    Parallel.fold pool n
-      ~map:(fun ~lo ~hi ->
-        let b = Buffer.create 8 in
-        for i = lo to hi - 1 do
-          Buffer.add_string b (string_of_int (i mod 10))
-        done;
-        Buffer.contents b)
-      ~combine:( ^ ) ~init:""
-  in
-  let expect = String.concat "" (List.init n (fun i -> string_of_int (i mod 10))) in
-  check Alcotest.string "slice-ordered concatenation" expect digits
-
 let par_map_slices_bounds () =
   Parallel.with_pool ~jobs:4 @@ fun pool ->
   let slices = Parallel.map_slices pool 10 (fun ~lo ~hi -> (lo, hi)) in
@@ -349,105 +332,6 @@ let par_shutdown_idempotent () =
   Alcotest.check_raises "run after shutdown"
     (Invalid_argument "Parallel.run: pool is shut down") (fun () ->
       Parallel.run pool [| (fun () -> ()) |])
-
-(* --- Parallel.Window ----------------------------------------------- *)
-
-module Window = Parallel.Window
-
-let win_ordered_collect () =
-  Parallel.with_pool ~jobs:4 @@ fun pool ->
-  let w = Window.create pool ~capacity:3 in
-  check Alcotest.int "capacity" 3 (Window.capacity w);
-  check Alcotest.bool "at least one executor" true (Window.executors w >= 1);
-  let collected = ref [] in
-  for i = 0 to 9 do
-    if Window.in_flight w = Window.capacity w then
-      collected := Window.collect w :: !collected;
-    Window.submit w (fun ~exec:_ -> i * i)
-  done;
-  while Window.in_flight w > 0 do
-    collected := Window.collect w :: !collected
-  done;
-  check
-    Alcotest.(list int)
-    "results in submission order"
-    (List.init 10 (fun i -> i * i))
-    (List.rev !collected)
-
-let win_exception_propagates () =
-  Parallel.with_pool ~jobs:4 @@ fun pool ->
-  let w = Window.create pool ~capacity:2 in
-  Window.submit w (fun ~exec:_ -> 1);
-  Window.submit w (fun ~exec:_ -> failwith "boom");
-  check Alcotest.int "first ticket ok" 1 (Window.collect w);
-  (match Window.collect w with
-  | _ -> Alcotest.fail "expected the ticket's exception on collect"
-  | exception Failure msg -> check Alcotest.string "ticket exception" "boom" msg);
-  (* The window and pool survive a raising ticket. *)
-  Window.submit w (fun ~exec:_ -> 7);
-  check Alcotest.int "usable after exception" 7 (Window.collect w)
-
-let win_guards () =
-  Parallel.with_pool ~jobs:2 @@ fun pool ->
-  (match Window.create pool ~capacity:0 with
-  | _ -> Alcotest.fail "capacity 0 must be rejected"
-  | exception Invalid_argument _ -> ());
-  let w = Window.create pool ~capacity:1 in
-  (match Window.collect w with
-  | _ -> Alcotest.fail "collect with nothing in flight must be rejected"
-  | exception Invalid_argument _ -> ());
-  Window.submit w (fun ~exec:_ -> 0);
-  (match Window.submit w (fun ~exec:_ -> 1) with
-  | () -> Alcotest.fail "submit past capacity must be rejected"
-  | exception Invalid_argument _ -> ());
-  check Alcotest.int "still collectable" 0 (Window.collect w)
-
-let win_executor_affinity () =
-  (* Tickets are dealt round-robin by submission sequence, so the exec
-     argument is deterministic: ticket i always lands on executor
-     [i mod executors], whatever the window occupancy was. *)
-  Parallel.with_pool ~jobs:4 @@ fun pool ->
-  let w = Window.create pool ~capacity:8 in
-  let k = Window.executors w in
-  let execs = Array.make 16 (-1) in
-  for i = 0 to 15 do
-    if Window.in_flight w = Window.capacity w then ignore (Window.collect w : unit);
-    Window.submit w (fun ~exec -> execs.(i) <- exec)
-  done;
-  Window.drain w;
-  Array.iteri
-    (fun i e ->
-      check Alcotest.bool "exec in range" true (e >= 0 && e < k);
-      check Alcotest.int "round-robin executor" (i mod k) e)
-    execs
-
-let win_interleaves_with_run () =
-  (* A fork-join group submitted while window tickets are outstanding
-     completes without the caller having to drain the window first. *)
-  Parallel.with_pool ~jobs:4 @@ fun pool ->
-  let w = Window.create pool ~capacity:4 in
-  for i = 1 to 4 do
-    Window.submit w (fun ~exec:_ -> i)
-  done;
-  let hits = Array.make 4 0 in
-  Parallel.parallel_for pool 4 (fun i -> hits.(i) <- hits.(i) + 1);
-  check Alcotest.bool "group ran under open window" true (Array.for_all (( = ) 1) hits);
-  let total = ref 0 in
-  while Window.in_flight w > 0 do
-    total := !total + Window.collect w
-  done;
-  check Alcotest.int "tickets all collected" 10 !total
-
-let win_drain () =
-  Parallel.with_pool ~jobs:2 @@ fun pool ->
-  let w = Window.create pool ~capacity:4 in
-  Window.submit w (fun ~exec:_ -> ());
-  Window.submit w (fun ~exec:_ -> failwith "swallowed by drain");
-  Window.drain w;
-  check Alcotest.int "empty after drain" 0 (Window.in_flight w);
-  Window.submit w (fun ~exec:_ -> ());
-  Window.drain w;
-  check Alcotest.int "reusable after drain" 0 (Window.in_flight w)
 
 (* --- Heap --------------------------------------------------------- *)
 
@@ -644,17 +528,10 @@ let () =
           Alcotest.test_case "fewer items than lanes" `Quick par_for_fewer_items_than_lanes;
           Alcotest.test_case "pool reuse" `Quick par_pool_reuse;
           Alcotest.test_case "exceptions propagate" `Quick par_exception_propagates;
-          Alcotest.test_case "ordered fold" `Quick par_fold_ordered;
           Alcotest.test_case "map_slices bounds" `Quick par_map_slices_bounds;
           Alcotest.test_case "single lane runs inline" `Quick par_single_lane_inline;
           Alcotest.test_case "create rejects jobs 0" `Quick par_create_rejects;
           Alcotest.test_case "shutdown idempotent" `Quick par_shutdown_idempotent;
-          Alcotest.test_case "window ordered collect" `Quick win_ordered_collect;
-          Alcotest.test_case "window exception propagates" `Quick win_exception_propagates;
-          Alcotest.test_case "window guards" `Quick win_guards;
-          Alcotest.test_case "window executor affinity" `Quick win_executor_affinity;
-          Alcotest.test_case "window interleaves with run" `Quick win_interleaves_with_run;
-          Alcotest.test_case "window drain" `Quick win_drain;
         ] );
       ( "heap",
         [
