@@ -452,7 +452,7 @@ let run_scaling () =
 (* ---------- fault-simulation kernels and the ATPG phase ------------ *)
 
 (* Wall-time the non-dropping simulation of a sizeable pattern set on
-   syn1196: serial vs the jobs-sized pool vs wide single-domain
+   syn1196: serial vs [--jobs] lanes vs wide single-domain
    superblocks vs the dominance-reduced universe, all word-identical;
    then one ATPG run on the prepared setup. *)
 

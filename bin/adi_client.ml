@@ -139,7 +139,7 @@ let config_params_term =
     $ int_p "seed" "Random seed (drives U selection and random fill)." "SEED"
     $ int_p "pool" "Candidate-vector pool size for U selection." "N"
     $ float_p "target_coverage" "U-selection coverage target, in (0, 1]." "C"
-    $ int_p "jobs" "Fault-simulation domains for this request." "JOBS"
+    $ int_p "jobs" "Detection-set simulation lanes for this request." "JOBS"
     $ opt_param ~param:"block_width" "block-width" (fun i -> Json.Int i) Arg.int
         "Words per simulation lane: 1, 2, 4 or 8 (the $(b,block_width) request \
          parameter; results are identical for any width)." "W"

@@ -65,7 +65,7 @@ let backlog_arg =
 
 let jobs_arg =
   int_opt ~names:[ "j"; "jobs" ] ~docv:"JOBS" ~default:1
-    ~doc:"Default fault-simulation domains per request (requests may override)."
+    ~doc:"Default detection-set simulation lanes per request (requests may override)."
 
 let spill_arg =
   Arg.(

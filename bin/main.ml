@@ -139,8 +139,7 @@ let sim_cmd =
     let rng = Util.Rng.create cfg.Run_config.seed in
     let pats = Patterns.random rng ~n_inputs:(Array.length (Circuit.inputs c)) ~count:n in
     let { Faultsim.detected; _ } =
-      Faultsim.with_dropping ~jobs:cfg.Run_config.jobs
-        ~block_width:cfg.Run_config.block_width fl pats
+      Faultsim.with_dropping ~block_width:cfg.Run_config.block_width fl pats
     in
     Printf.printf "%d random vectors detect %d / %d collapsed faults (%.2f%%)\n" n detected
       (Fault_list.count fl)

@@ -46,10 +46,9 @@ let compute ?(estimator = Minimum) ?(jobs = 1) ?kernel ?block_width fault_list p
   of_dsets estimator fault_list patterns
     (Faultsim.detection_sets ~jobs ?kernel ?block_width fault_list patterns)
 
-let compute_n_detection ?(estimator = Minimum) ?(jobs = 1) ?kernel ?block_width ~n
-    fault_list patterns =
+let compute_n_detection ?(estimator = Minimum) ?kernel ?block_width ~n fault_list patterns =
   of_dsets estimator fault_list patterns
-    (Faultsim.detection_sets_capped ~jobs ?kernel ?block_width fault_list patterns ~n)
+    (Faultsim.detection_sets_capped ?kernel ?block_width fault_list patterns ~n)
 
 let detected t fi = t.adi.(fi) > 0
 
@@ -74,13 +73,12 @@ let coverage_of_u t =
 
 type u_selection = { u : Patterns.t; pool_detected : int; prefix_detected : int }
 
-let select_u ?(pool = 10_000) ?(target_coverage = 0.9) ?(jobs = 1) ?kernel ?block_width rng fl
-    =
+let select_u ?(pool = 10_000) ?(target_coverage = 0.9) ?jobs:_ ?kernel ?block_width rng fl =
   let c = Fault_list.circuit fl in
   let n_inputs = Array.length (Circuit.inputs c) in
   let pats = Patterns.random rng ~n_inputs ~count:pool in
   let { Faultsim.first_detection; detected } =
-    Faultsim.with_dropping ~jobs ?kernel ?block_width fl pats
+    Faultsim.with_dropping ?kernel ?block_width fl pats
   in
   let nf = Fault_list.count fl in
   (* When the pool cannot reach the target (redundant faults), fall

@@ -36,14 +36,13 @@ val compute :
   t
 (** Full non-dropping fault simulation of [U] followed by the chosen
     reduction (default {!Minimum}).  Cost: one
-    {!Faultsim.detection_sets} run.  [jobs] (default 1) sizes the
-    simulation's domain pool, [kernel] selects the detection-word
+    {!Faultsim.detection_sets} run.  [jobs] (default 1) is the
+    simulation's lane count, [kernel] selects the detection-word
     kernel and [block_width] the superblock width; results are
     identical for any values. *)
 
 val compute_n_detection :
   ?estimator:estimator ->
-  ?jobs:int ->
   ?kernel:Faultsim.kernel ->
   ?block_width:int ->
   n:int ->
@@ -89,9 +88,12 @@ val select_u :
   Util.Rng.t ->
   Fault_list.t ->
   u_selection
-(** Defaults: [pool = 10_000], [target_coverage = 0.9], [jobs = 1]
-    ([pool] is the candidate-vector count, not the domain pool).  When
-    the pool
-    cannot reach the target (the circuit retains redundant faults), the
-    threshold falls back to the target fraction of the faults the pool
-    does detect, keeping [U] small as the paper intends. *)
+(** Defaults: [pool = 10_000], [target_coverage = 0.9] ([pool] is the
+    candidate-vector count).  When the pool cannot reach the target
+    (the circuit retains redundant faults), the threshold falls back to
+    the target fraction of the faults the pool does detect, keeping [U]
+    small as the paper intends.
+
+    [jobs] is ignored: the scan runs {!Faultsim.with_dropping}, which
+    is serial.  The argument stays only until the benchmark harness
+    stops passing it. *)

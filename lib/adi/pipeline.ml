@@ -38,7 +38,7 @@ let prepare config circuit =
   let rng = Util.Rng.create seed in
   let selection =
     Trace.span tr "prepare.select_u" (fun () ->
-        Adi_index.select_u ~pool ~target_coverage ~jobs ?kernel ~block_width rng faults)
+        Adi_index.select_u ~pool ~target_coverage ?kernel ~block_width rng faults)
   in
   let adi =
     Trace.span tr "prepare.adi" (fun () ->
@@ -55,11 +55,6 @@ let prepare config circuit =
     Metrics.set (Trace.counter tr "pipeline.pool_detected") selection.Adi_index.pool_detected
   end;
   { circuit; faults; collapse; selection; adi; config }
-
-(* Deprecated wrapper — the pre-[Run_config] optional-argument pile.
-   New code should build a [Run_config.t] and call {!prepare}. *)
-let prepare_opts ?(seed = 1) ?(pool = 10_000) ?(target_coverage = 0.9) ?(jobs = 1) circuit =
-  prepare { Run_config.default with seed; pool; target_coverage; jobs } circuit
 
 type run = { kind : Ordering.kind; order : int array; engine : Engine.result }
 

@@ -23,16 +23,10 @@ val jobs : setup -> int
 
 val prepare : Run_config.t -> Circuit.t -> setup
 (** Build everything up to the ADI values.  Sequential circuits are put
-    through {!Scan.combinational} first.  [jobs] only sizes the
-    fault-simulation domain pool; every result is identical for any
-    value.  @raise Util.Diagnostics.Failed when the configuration is
-    invalid ({!Run_config.validate}). *)
-
-val prepare_opts :
-  ?seed:int -> ?pool:int -> ?target_coverage:float -> ?jobs:int -> Circuit.t -> setup
-(** @deprecated The pre-[Run_config] argument pile, kept so existing
-    callers keep compiling.  Equivalent to {!prepare} on {!Run_config.default}
-    with the given fields replaced. *)
+    through {!Scan.combinational} first.  [jobs] only sets the lane
+    count of the detection-set simulation; every result is identical
+    for any value.  @raise Util.Diagnostics.Failed when the
+    configuration is invalid ({!Run_config.validate}). *)
 
 type run = {
   kind : Ordering.kind;

@@ -11,14 +11,13 @@
     Builders validate their argument and raise
     [Util.Diagnostics.Failed] with code [Invalid_flag] on out-of-range
     values, so a bad [--jobs 0] is reported as a typed diagnostic
-    instead of surfacing as an [Invalid_argument] from the domain
-    pool. *)
+    before it reaches the simulator. *)
 
 type t = {
   seed : int;  (** drives U selection and random fill *)
   pool : int;  (** candidate vectors for U selection *)
   target_coverage : float;  (** U-selection coverage target, in (0, 1] *)
-  jobs : int;  (** fault-simulation domain-pool lanes *)
+  jobs : int;  (** lanes of detection-set and dictionary simulation *)
   block_width : int;
       (** 64-bit words per simulation lane (1, 2, 4 or 8 — 64 to 512
           patterns per pass).  A pure throughput knob: detection words
@@ -60,7 +59,7 @@ val with_pool : int -> t -> t
 val with_target_coverage : float -> t -> t
 
 val with_jobs : int -> t -> t
-(** Rejects [jobs < 1] before the value can reach the domain pool. *)
+(** Rejects [jobs < 1] before the value can reach the simulator. *)
 
 val with_block_width : int -> t -> t
 (** Rejects widths outside [{1, 2, 4, 8}].  Results are bit-identical

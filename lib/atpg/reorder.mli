@@ -11,9 +11,9 @@ val greedy : ?jobs:int -> Fault_list.t -> Patterns.t -> int array
 (** Permutation of test positions: position 0 holds the test with the
     largest detection count, and each subsequent position the test
     covering the most not-yet-detected faults.  Ties break to the
-    earlier original position.  [jobs] (default 1) sizes the
-    fault-simulation domain pool; the permutation is identical for any
-    value. *)
+    earlier original position.  [jobs] (default 1) is the lane
+    count of the detection-set simulation; the permutation is identical
+    for any value. *)
 
 val apply : Patterns.t -> int array -> Patterns.t
 (** Rebuild the test set in the permuted order. *)

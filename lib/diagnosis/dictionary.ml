@@ -75,39 +75,36 @@ let build ?(jobs = 1) ?(block_width = 1) fl pats =
      slice of the pattern superblocks and writes only its blocks'
      words, so the result is bit-identical for any [jobs] and any
      [block_width]. *)
-  Parallel.with_pool ~jobs (fun pool ->
-      let k = min (Parallel.jobs pool) (max nsb 1) in
-      let wss = Array.init k (fun _ -> Faultsim.workspace ~width c) in
-      Parallel.run pool
-        (Array.init k (fun lane ->
-             fun () ->
-              let ws = wss.(lane) in
-              let good = Faultsim.good_arena ws in
-              let out = Array.make (nout * width) 0L in
-              for sb = lane * nsb / k to ((lane + 1) * nsb / k) - 1 do
-                Faultsim.load_good ws good pats sb;
-                let b0 = sb * width in
-                let lim = min width (nblocks - b0) in
-                for fi = 0 to nf - 1 do
-                  let det =
-                    Faultsim.detect_block_outputs ws ~good ~out (Fault_list.get fl fi)
-                  in
-                  for w = 0 to lim - 1 do
-                    let b = b0 + w in
-                    let mask = block_mask nt b in
-                    let d = Int64.logand det.(w) mask in
-                    if d <> 0L then begin
-                      (Bitvec.words signatures.(fi)).(b) <- d;
-                      let row = dense.(fi) in
-                      for oi = 0 to nout - 1 do
-                        let x = Int64.logand out.((oi * width) + w) mask in
-                        if x <> 0L then (Bitvec.words row.(oi)).(b) <- x
-                      done
-                    end
+  let k = min (max 1 jobs) (max nsb 1) in
+  let wss = Array.init k (fun _ -> Faultsim.workspace ~width c) in
+  Parallel.run
+    (Array.init k (fun lane ->
+         fun () ->
+          let ws = wss.(lane) in
+          let good = Faultsim.good_arena ws in
+          let out = Array.make (nout * width) 0L in
+          for sb = lane * nsb / k to ((lane + 1) * nsb / k) - 1 do
+            Faultsim.load_good ws good pats sb;
+            let b0 = sb * width in
+            let lim = min width (nblocks - b0) in
+            for fi = 0 to nf - 1 do
+              let det = Faultsim.detect_block_outputs ws ~good ~out (Fault_list.get fl fi) in
+              for w = 0 to lim - 1 do
+                let b = b0 + w in
+                let mask = block_mask nt b in
+                let d = Int64.logand det.(w) mask in
+                if d <> 0L then begin
+                  (Bitvec.words signatures.(fi)).(b) <- d;
+                  let row = dense.(fi) in
+                  for oi = 0 to nout - 1 do
+                    let x = Int64.logand out.((oi * width) + w) mask in
+                    if x <> 0L then (Bitvec.words row.(oi)).(b) <- x
                   done
-                done
-              done));
-      Faultsim.publish_stats tr wss);
+                end
+              done
+            done
+          done));
+  Faultsim.publish_stats tr wss;
   let slices =
     Array.map
       (fun row ->

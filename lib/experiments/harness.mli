@@ -64,8 +64,8 @@ val run_atpg_cfg :
       continues from it; a missing file starts a fresh run.  The
       checkpoint's identity block (circuit digest, seed, order,
       generator, limits) must match the current invocation.
-    - [jobs] (default 1) sizes the fault-simulation domain pool of
-      the ADI setup; the engine itself is single-threaded.  Results
+    - [jobs] (default 1) is the lane count of the ADI setup's
+      detection-set simulation; the engine itself is single-threaded.  Results
       are identical for any value, so it is deliberately absent from
       the checkpoint identity: a run checkpointed under one [jobs] may
       resume under another.

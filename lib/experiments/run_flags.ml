@@ -34,7 +34,8 @@ let pipeline_specs =
       names = [ "j"; "jobs" ];
       docv = "JOBS";
       doc =
-        "Domains for parallel fault simulation. Results are bit-identical for any value.";
+        "Lanes for detection-set and dictionary simulation. Results are bit-identical for \
+         any value.";
       kind = Int Run_config.with_jobs;
     };
     {

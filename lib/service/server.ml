@@ -48,7 +48,6 @@ let create ?(workers = 4) ?(backlog = 16) ?(poll_interval_s = 0.05) ?max_infligh
     lane_restarts = Atomic.make 0 }
 
 let request_stop t = Atomic.set t.stop true
-let stopping t = Atomic.get t.stop
 let lane_restarts t = Atomic.get t.lane_restarts
 
 (* --- listening socket --------------------------------------------- *)

@@ -90,8 +90,6 @@ val request_stop : t -> unit
 (** Ask a running {!serve} to drain and return (thread-safe; also what
     the signal handlers call). *)
 
-val stopping : t -> bool
-
 val lane_restarts : t -> int
 (** Accept lanes revived after dying from an exception. *)
 

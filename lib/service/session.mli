@@ -63,9 +63,9 @@ val create :
     no spill).  [shared_spill] (default false) turns the spill
     directory into a fleet-level second-level store: fresh setups are
     written through immediately so sibling workers sharing the
-    directory find them (see {!Store}).  [jobs] (default 1) sizes the
-    fault-simulation domain pool for requests that do not set their
-    own.  [request_budget_s] is the default per-request deadline
+    directory find them (see {!Store}).  [jobs] (default 1) is the
+    detection-set and dictionary lane count for requests that do not
+    set their own.  [request_budget_s] is the default per-request deadline
     (default: none).  [tracer] defaults to the current tracer at
     creation time. *)
 

@@ -495,40 +495,35 @@ let detect_with ws ~kernel ~gval f =
 
 (* --- whole-pattern-set drivers ------------------------------------ *)
 
-(* One driver per mode, each over a {!Util.Parallel} pool of
-   [max 1 jobs] lanes; a one-lane pool spawns no domain and runs its
-   single task inline. *)
-
 let superblocks nblocks width = (nblocks + width - 1) / width
 
-let sim_attrs kernel fl pats jobs width =
+let sim_attrs kernel fl pats width =
   [ ("kernel", Trace.Str (kernel_name kernel));
     ("faults", Trace.Int (Fault_list.count fl));
-    ("patterns", Trace.Int (Patterns.count pats)); ("jobs", Trace.Int jobs);
-    ("block_width", Trace.Int width) ]
+    ("patterns", Trace.Int (Patterns.count pats)); ("block_width", Trace.Int width) ]
 
 (* Kernel defaults preserve the historical behaviour: [detection_sets]
    is plain per-fault event propagation on one lane and rides the stem
-   kernel on a wider pool; the dropping-family drivers stay
-   event-driven unless a kernel is requested. *)
+   kernel on several; the dropping-family drivers stay event-driven
+   unless a kernel is requested. *)
 let auto_detection_kernel jobs = if jobs <= 1 then Event else Stem
 
-(* Detection sets have no cross-block dependency, so each lane owns a
-   static slice of the superblocks — private workspace and good-value
-   arena, one fork-join for the whole run — and writes only its own
-   blocks' words of each detection set.  Every (fault, block) word is
-   computed by exactly one lane and its value depends only on
-   (circuit, fault, block), so the result is bit-identical for any
-   pool size regardless of scheduling. *)
+(* Detection sets have no cross-block dependency, so each of
+   [min jobs nsb] lanes owns a static slice of the superblocks —
+   private workspace and good-value arena, one {!Util.Parallel.run} for
+   the whole call — and writes only its own blocks' words of each
+   detection set.  Every (fault, block) word is computed by exactly one
+   lane and its value depends only on (circuit, fault, block), so the
+   result is bit-identical for any [jobs] regardless of scheduling. *)
 let detection_sets ?(jobs = 1) ?kernel ?(block_width = 1) fl pats =
   if block_width < 1 then invalid_arg "Faultsim.detection_sets: block_width must be positive";
+  let jobs = max 1 jobs in
   let kernel = match kernel with Some k -> k | None -> auto_detection_kernel jobs in
   let width = block_width in
   let tr = Trace.current () in
   let observed = Trace.enabled tr in
-  Parallel.with_pool ~jobs:(max 1 jobs) @@ fun pool ->
   Trace.span tr
-    ~attrs:(sim_attrs kernel fl pats (Parallel.jobs pool) width)
+    ~attrs:(("jobs", Trace.Int jobs) :: sim_attrs kernel fl pats width)
     "faultsim.detection_sets"
   @@ fun () ->
   let c = Fault_list.circuit fl in
@@ -536,9 +531,9 @@ let detection_sets ?(jobs = 1) ?kernel ?(block_width = 1) fl pats =
   let dsets = Array.init nf (fun _ -> Bitvec.create (Patterns.count pats)) in
   let nblocks = Patterns.blocks pats in
   let nsb = superblocks nblocks width in
-  let k = min (Parallel.jobs pool) (max nsb 1) in
+  let k = min jobs (max nsb 1) in
   let wss = Array.init k (fun _ -> workspace ~width c) in
-  Parallel.run pool
+  Parallel.run
     (Array.init k (fun lane ->
          fun () ->
           let ws = wss.(lane) in
@@ -568,83 +563,62 @@ let ndet dsets pats =
 
 type drop_result = { first_detection : int array; detected : int }
 
-(* Per-superblock scan of the live faults over a pool: detection words
-   are produced in parallel on static slices of the alive array into
-   [det] (fault [alive.(i)] at [i * width]). *)
-let scan_alive ~kernel ~width pool wss fl ~gval alive det =
-  let n = Array.length alive in
-  let k = min (Parallel.jobs pool) (max n 1) in
-  Parallel.run pool
-    (Array.init k (fun lane ->
-         fun () ->
-          let ws = wss.(lane) in
-          let lo = lane * n / k and hi = (lane + 1) * n / k in
-          for i = lo to hi - 1 do
-            detect_with ws ~kernel ~gval (Fault_list.get fl alive.(i));
-            Array.blit ws.det 0 det (i * width) width
-          done))
-
-(* The dropping family's one driver.  Superblock by superblock, the
-   live faults' words come from {!scan_alive}; then, serially and in
-   alive order, [absorb ~b0 ~lim fi det doff] folds fault [fi]'s words
-   (at [det.(doff)]) into the caller's result and says whether [fi]
-   stays live.  Absorbing scans a superblock's words in increasing
-   block order, so every dropping decision matches the width-1 scan
-   and no result depends on the pool size. *)
-let drop_scan ~name ?(attrs = []) ~jobs ~kernel ~width fl pats absorb =
+(* The dropping family's one driver, serial: one workspace walks the
+   superblocks in order and, per superblock, the live faults in fault
+   order.  [absorb ~b0 ~lim fi det] folds fault [fi]'s detection words
+   ([det], the workspace scratch) into the caller's result and says
+   whether [fi] stays live.  Absorbing scans a superblock's words in
+   increasing block order, so every dropping decision matches the
+   width-1 scan. *)
+let drop_scan ~name ?(attrs = []) ~kernel ~width fl pats absorb =
   let tr = Trace.current () in
   let observed = Trace.enabled tr in
-  Parallel.with_pool ~jobs:(max 1 jobs) @@ fun pool ->
-  Trace.span tr ~attrs:(attrs @ sim_attrs kernel fl pats (Parallel.jobs pool) width) name
-  @@ fun () ->
-  let c = Fault_list.circuit fl in
-  let nf = Fault_list.count fl in
-  let wss = Array.init (min (Parallel.jobs pool) (max nf 1)) (fun _ -> workspace ~width c) in
-  let det = Array.make (nf * width) 0L in
-  let gval = good_arena wss.(0) in
-  let alive = ref (Array.init nf Fun.id) in
+  Trace.span tr ~attrs:(attrs @ sim_attrs kernel fl pats width) name @@ fun () ->
+  let ws = workspace ~width (Fault_list.circuit fl) in
+  let gval = good_arena ws in
+  let alive = Array.init (Fault_list.count fl) Fun.id in
+  let live = ref (Array.length alive) in
   let nblocks = Patterns.blocks pats in
   let nsb = superblocks nblocks width in
   let sb = ref 0 in
-  while !sb < nsb && Array.length !alive > 0 do
-    timed_goodsim observed wss.(0) pats !sb gval;
-    Array.iter new_block wss;
+  while !sb < nsb && !live > 0 do
+    timed_goodsim observed ws pats !sb gval;
+    new_block ws;
     let b0 = !sb * width in
     let lim = min width (nblocks - b0) in
-    let a = !alive in
-    scan_alive ~kernel ~width pool wss fl ~gval a det;
-    let live = ref 0 in
-    Array.iteri
-      (fun i fi ->
-        if absorb ~b0 ~lim fi det (i * width) then begin
-          a.(!live) <- fi;
-          incr live
-        end)
-      a;
-    alive := Array.sub a 0 !live;
+    let n = !live in
+    live := 0;
+    for i = 0 to n - 1 do
+      let fi = alive.(i) in
+      detect_with ws ~kernel ~gval (Fault_list.get fl fi);
+      if absorb ~b0 ~lim fi ws.det then begin
+        alive.(!live) <- fi;
+        incr live
+      end
+    done;
     incr sb
   done;
-  publish_stats tr wss
+  publish_stats tr [| ws |]
 
 (* First detecting pattern among words [0 .. lim-1] of the superblock
    starting at block [b0], or -1. *)
-let first_in_words pats ~b0 ~lim det doff =
+let first_in_words pats ~b0 ~lim det =
   let rec go w =
     if w >= lim then -1
     else
       let b = b0 + w in
-      let d = Int64.logand det.(doff + w) (block_mask pats b) in
+      let d = Int64.logand det.(w) (block_mask pats b) in
       if d = 0L then go (w + 1) else (b * 64) + Bitvec.ctz d
   in
   go 0
 
-let with_dropping ?(jobs = 1) ?(kernel = Event) ?(block_width = 1) fl pats =
+let with_dropping ?(kernel = Event) ?(block_width = 1) fl pats =
   if block_width < 1 then invalid_arg "Faultsim.with_dropping: block_width must be positive";
   let first = Array.make (Fault_list.count fl) (-1) in
   let detected = ref 0 in
-  drop_scan ~name:"faultsim.with_dropping" ~jobs ~kernel ~width:block_width fl pats
-    (fun ~b0 ~lim fi det doff ->
-      let p = first_in_words pats ~b0 ~lim det doff in
+  drop_scan ~name:"faultsim.with_dropping" ~kernel ~width:block_width fl pats
+    (fun ~b0 ~lim fi det ->
+      let p = first_in_words pats ~b0 ~lim det in
       p < 0
       || begin
            first.(fi) <- p;
@@ -653,14 +627,14 @@ let with_dropping ?(jobs = 1) ?(kernel = Event) ?(block_width = 1) fl pats =
          end);
   { first_detection = first; detected = !detected }
 
-let n_detection ?(jobs = 1) ?(kernel = Event) ?(block_width = 1) fl pats ~n =
+let n_detection ?(kernel = Event) ?(block_width = 1) fl pats ~n =
   if n <= 0 then invalid_arg "Faultsim.n_detection: n must be positive";
   if block_width < 1 then invalid_arg "Faultsim.n_detection: block_width must be positive";
   let counts = Array.make (Fault_list.count fl) 0 in
-  drop_scan ~name:"faultsim.n_detection" ~attrs:[ ("n", Trace.Int n) ] ~jobs ~kernel
-    ~width:block_width fl pats (fun ~b0 ~lim fi det doff ->
+  drop_scan ~name:"faultsim.n_detection" ~attrs:[ ("n", Trace.Int n) ] ~kernel
+    ~width:block_width fl pats (fun ~b0 ~lim fi det ->
       for w = 0 to lim - 1 do
-        let d = Int64.logand det.(doff + w) (block_mask pats (b0 + w)) in
+        let d = Int64.logand det.(w) (block_mask pats (b0 + w)) in
         if d <> 0L then counts.(fi) <- min n (counts.(fi) + Bitvec.popcount_word d)
       done;
       counts.(fi) < n);
@@ -677,18 +651,18 @@ let keep_capped counts fi ~n d =
   done;
   !kept
 
-let detection_sets_capped ?(jobs = 1) ?(kernel = Event) ?(block_width = 1) fl pats ~n =
+let detection_sets_capped ?(kernel = Event) ?(block_width = 1) fl pats ~n =
   if n <= 0 then invalid_arg "Faultsim.detection_sets_capped: n must be positive";
   if block_width < 1 then
     invalid_arg "Faultsim.detection_sets_capped: block_width must be positive";
   let nf = Fault_list.count fl in
   let dsets = Array.init nf (fun _ -> Bitvec.create (Patterns.count pats)) in
   let counts = Array.make nf 0 in
-  drop_scan ~name:"faultsim.detection_sets_capped" ~attrs:[ ("n", Trace.Int n) ] ~jobs ~kernel
-    ~width:block_width fl pats (fun ~b0 ~lim fi det doff ->
+  drop_scan ~name:"faultsim.detection_sets_capped" ~attrs:[ ("n", Trace.Int n) ] ~kernel
+    ~width:block_width fl pats (fun ~b0 ~lim fi det ->
       for w = 0 to lim - 1 do
         let b = b0 + w in
-        let d = Int64.logand det.(doff + w) (block_mask pats b) in
+        let d = Int64.logand det.(w) (block_mask pats b) in
         if d <> 0L then (Bitvec.words dsets.(fi)).(b) <- keep_capped counts fi ~n d
       done;
       counts.(fi) < n);

@@ -36,13 +36,16 @@
     counters ({!sim_stats}) are advisory and may differ across widths
     (memo short-circuits fire per superblock rather than per block).
 
-    There is one driver per mode.  Each takes an optional [?jobs]
-    argument (default 1) and runs over a {!Util.Parallel} pool of that
-    many lanes (a one-lane pool spawns no domain and runs inline): each
-    lane owns a private {!workspace} and a static slice of the work
-    while all lanes share read-only inputs, and detection words are
-    merged in a fixed order, so results are bit-identical for every
-    [jobs] regardless of scheduling.
+    There is one driver per mode.  {!detection_sets} takes [?jobs]
+    (default 1): each of [min jobs superblocks] lanes owns a private
+    {!workspace} and a static slice of the superblocks, the lanes run
+    under one {!Util.Parallel.run}, and each detection word is written
+    by exactly one lane, so results are bit-identical for every [jobs]
+    regardless of scheduling.  The dropping family ({!with_dropping},
+    {!n_detection}, {!detection_sets_capped}) is serial: one workspace
+    scans the live faults superblock by superblock, because dropping
+    makes each superblock's work depend on the previous one and the
+    fault-sliced scan lost to one lane on 2 cores.
 
     All entry points require a combinational circuit. *)
 
@@ -83,22 +86,17 @@ val detect_block : workspace -> good:Util.Wordvec.t -> Fault.t -> int64
     width-1 workspaces — the ATPG engine's hot path.  Lanes beyond the
     pattern count are meaningless; callers mask them. *)
 
-val detect_superblock : workspace -> good:Util.Wordvec.t -> Fault.t -> int64 array
-(** Wide variant of {!detect_block}: word [w] of the result is the
-    detection word of block [sb*width + w].  The returned array is
-    workspace-owned scratch, overwritten by the next [detect_*] call —
-    copy what must survive. *)
-
 val detect_block_outputs :
   workspace -> good:Util.Wordvec.t -> out:int64 array -> Fault.t -> int64 array
-(** [detect_block_outputs ws ~good ~out f] is {!detect_superblock}
-    with per-output resolution: [out] (length
+(** [detect_block_outputs ws ~good ~out f] is the wide variant of
+    {!detect_block} with per-output resolution: [out] (length
     [Array.length (Circuit.outputs c) * width], cleared on entry)
     receives each primary output's divergence words at
     [output index * width + word], and the returned words are their
-    per-word OR — bit-identical to [detect_superblock ws ~good f].
-    The returned array is workspace-owned scratch.  The input to
-    response-level (per-output) fault dictionaries. *)
+    per-word OR: word [w] is the detection word of block [sb*width + w].
+    The returned array is workspace-owned scratch, overwritten by the
+    next [detect_*] call.  The input to response-level (per-output)
+    fault dictionaries. *)
 
 (** {1 Observability}
 
@@ -154,12 +152,11 @@ type drop_result = {
 }
 
 val with_dropping :
-  ?jobs:int -> ?kernel:kernel -> ?block_width:int -> Fault_list.t -> Patterns.t -> drop_result
+  ?kernel:kernel -> ?block_width:int -> Fault_list.t -> Patterns.t -> drop_result
 (** Simulation with fault dropping: each fault is removed from
     consideration after its first detection. *)
 
 val n_detection :
-  ?jobs:int ->
   ?kernel:kernel ->
   ?block_width:int ->
   Fault_list.t ->
@@ -172,7 +169,6 @@ val n_detection :
     {!with_dropping}. *)
 
 val detection_sets_capped :
-  ?jobs:int ->
   ?kernel:kernel ->
   ?block_width:int ->
   Fault_list.t ->

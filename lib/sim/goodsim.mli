@@ -9,16 +9,12 @@ val block : Circuit.t -> Patterns.t -> int -> int64 array
     [64b .. 64b+63]) and returns one value word per node, indexed by
     node id.  The circuit must be combinational. *)
 
-val block_into : Circuit.t -> Patterns.t -> int -> int64 array -> unit
-(** As {!block}, writing into a caller-owned array of size
-    [Circuit.node_count] (no allocation per block). *)
-
 val superblock_into : Circuit.t -> Patterns.t -> width:int -> sb:int -> Util.Wordvec.t -> unit
 (** Wide variant: one traversal evaluates the [width] consecutive
     blocks [sb*width .. sb*width + width - 1] into a flat arena of
     [node_count * width] words — node [n]'s lane is words
     [n*width .. n*width+width-1], word [w] holding block
-    [sb*width + w].  Word-identical to [width] calls of {!block_into};
+    [sb*width + w].  Word-identical to [width] calls of {!block};
     words past the last block read as the all-zero vector.  The fast
     path of the wide-block fault simulator. *)
 

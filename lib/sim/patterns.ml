@@ -16,14 +16,6 @@ let word t ~input ~block =
 
 let blocks t = (t.count + 63) / 64
 
-let of_columns columns =
-  if Array.length columns = 0 then invalid_arg "Patterns.of_columns: no columns";
-  let len = Bitvec.length columns.(0) in
-  Array.iter
-    (fun c -> if Bitvec.length c <> len then invalid_arg "Patterns.of_columns: ragged columns")
-    columns;
-  { n_inputs = Array.length columns; count = len; columns }
-
 let of_vectors ~n_inputs rows =
   let cnt = Array.length rows in
   let columns = Array.init n_inputs (fun _ -> Bitvec.create cnt) in

@@ -27,9 +27,6 @@ val word : t -> input:int -> block:int -> int64
 val blocks : t -> int
 (** Number of 64-pattern blocks, [ceil (count / 64)]. *)
 
-val of_columns : Util.Bitvec.t array -> t
-(** @raise Invalid_argument if column lengths differ or no columns. *)
-
 val of_vectors : n_inputs:int -> bool array array -> t
 (** Row-major construction: element [p].(i) is input [i] of pattern
     [p]. *)

@@ -1,46 +1,21 @@
-(** A persistent domain pool with deterministic work partitioning.
+(** One fork-join over fresh domains.
 
-    Built directly on [Domain]/[Mutex]/[Condition] (no external
-    dependencies).  A pool of [jobs] lanes executes on at most
-    [min jobs (recommended_domain_count)] domains — the calling domain
-    plus spawned workers; the lane count only shapes the partitioning,
-    while the domain count never oversubscribes the machine (extra
-    domains would stall every stop-the-world minor collection).  A pool
-    of one lane spawns no domains at all and runs everything inline —
-    the serial reference path.
-
-    {!run} is the one entry point: callers hand it one task per lane,
-    so any computation whose tasks write disjoint state is
-    bit-identical to its serial execution regardless of how domains
-    interleave. *)
-
-type t
+    {!run} spawns its domains with [Domain.spawn] and joins them with
+    [Domain.join] before returning; nothing outlives the call.  Callers
+    hand it one task per lane of a static partition, so any computation
+    whose tasks write disjoint state is bit-identical to its serial
+    execution however the domains interleave.  The lane count shapes
+    the partition; the number of domains never exceeds the cores. *)
 
 val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — the pool size the CLI's
+(** [Domain.recommended_domain_count ()] — the lane count the CLI's
     [--jobs] flag defaults to. *)
 
-val create : ?jobs:int -> unit -> t
-(** Spawn a pool of [jobs] lanes (default {!default_jobs}; values above
-    128 are clamped to the domain limit).
-    @raise Invalid_argument if [jobs < 1]. *)
-
-val jobs : t -> int
-(** Number of lanes — the partitioning width requested at creation,
-    independent of how many domains actually run them. *)
-
-val shutdown : t -> unit
-(** Join all worker domains (each drains its queued jobs first).
-    Idempotent; the pool is unusable afterwards. *)
-
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] with a fresh pool and shuts it down when [f]
-    returns or raises. *)
-
-val run : t -> (unit -> unit) array -> unit
-(** [run t tasks] executes every task exactly once, dealing them out in
-    contiguous groups over the worker domains and the caller (which
-    always executes a share itself) and blocking until all complete.
-    If tasks raise, the exception of the lowest-indexed raising task is
-    re-raised after every task has finished (the pool stays usable).
-    @raise Invalid_argument if there are more tasks than lanes. *)
+val run : (unit -> unit) array -> unit
+(** [run tasks] executes every task exactly once and returns when all
+    have finished.  The tasks are split into [g = min n cores]
+    contiguous groups; the caller runs group 0 and [g - 1] spawned
+    domains run the rest, so a one-task run (or any run on one core)
+    executes on the calling domain and spawns nothing.  If tasks raise,
+    the exception of the lowest-indexed raising task is re-raised after
+    every task has run. *)

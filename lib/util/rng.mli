@@ -45,6 +45,3 @@ val float : t -> float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniformly random element.  @raise Invalid_argument on empty array. *)

@@ -123,7 +123,6 @@ let make ?(clock = Budget.default_clock) ?sink () =
 
 let enabled t = t.enabled
 let metrics t = t.metrics
-let elapsed_s t = if t.enabled then t.clock () -. t.t0 else 0.0
 
 let emit t ev = match t.sink with None -> () | Some sink -> sink ev
 

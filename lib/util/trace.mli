@@ -62,9 +62,6 @@ val make : ?clock:Budget.clock -> ?sink:(event -> unit) -> unit -> t
 val enabled : t -> bool
 val metrics : t -> Metrics.t
 
-val elapsed_s : t -> float
-(** Seconds since the tracer was created (0 when disabled). *)
-
 val span : t -> ?attrs:attrs -> string -> (unit -> 'a) -> 'a
 (** [span t name f] times [f ()], emits a [Span] event when it returns
     or raises, and folds the duration into the ["span:<name>"]

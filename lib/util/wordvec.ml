@@ -26,37 +26,3 @@ let sub (t : t) pos len : t = Bigarray.Array1.sub t pos len
 let blit ~src ~dst =
   if length src <> length dst then invalid_arg "Wordvec.blit: length mismatch";
   Bigarray.Array1.blit src dst
-
-let same_len a b = if length a <> length b then invalid_arg "Wordvec: length mismatch"
-
-let or_into ~dst src =
-  same_len dst src;
-  for i = 0 to length dst - 1 do
-    unsafe_set dst i (Int64.logor (unsafe_get dst i) (unsafe_get src i))
-  done
-
-let and_popcount a b =
-  same_len a b;
-  let acc = ref 0 in
-  for i = 0 to length a - 1 do
-    acc := !acc + Bitvec.popcount_word (Int64.logand (unsafe_get a i) (unsafe_get b i))
-  done;
-  !acc
-
-let xor_nonzero a b =
-  same_len a b;
-  let n = length a in
-  let rec go i = i < n && (unsafe_get a i <> unsafe_get b i || go (i + 1)) in
-  go 0
-
-let iteri_words t f =
-  for i = 0 to length t - 1 do
-    f i (unsafe_get t i)
-  done
-
-let of_array a =
-  let t = create (Array.length a) in
-  Array.iteri (fun i v -> unsafe_set t i v) a;
-  t
-
-let to_array t = Array.init (length t) (unsafe_get t)

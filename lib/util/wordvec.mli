@@ -3,9 +3,8 @@
     The wide-block simulation arenas: element storage is unboxed and
     contiguous (one malloc'd block outside the OCaml heap), so a
     [node_count * width] arena costs exactly [8] bytes per word with no
-    per-element boxes and nothing for the GC to scan.  The fused
-    kernels run one bounds-check per call and [unsafe_get]/[unsafe_set]
-    per word.
+    per-element boxes and nothing for the GC to scan.  Simulator inner
+    loops read and write it with [unsafe_get]/[unsafe_set].
 
     Indices are word indices; a simulator lane of width [W] for node
     [n] occupies words [n*W .. n*W + W - 1]. *)
@@ -39,21 +38,3 @@ val sub : t -> int -> int -> t
 
 val blit : src:t -> dst:t -> unit
 (** Whole-vector copy.  Lengths must match. *)
-
-val or_into : dst:t -> t -> unit
-(** Fused [dst <- dst OR src], one pass.  Lengths must match. *)
-
-val and_popcount : t -> t -> int
-(** Fused [popcount (a AND b)] without materialising the
-    intersection.  Lengths must match. *)
-
-val xor_nonzero : t -> t -> bool
-(** Fused [a XOR b <> 0] with early exit on the first differing word —
-    the divergence test of the wide fault simulator. *)
-
-val iteri_words : t -> (int -> int64 -> unit) -> unit
-(** [iteri_words t f] calls [f i w] for every word in increasing
-    index order. *)
-
-val of_array : int64 array -> t
-val to_array : t -> int64 array

@@ -309,9 +309,12 @@ let ffr_roots_well_formed =
   let ok = ref true in
   Circuit.iter_nodes c (fun i ->
       if roots.(roots.(i)) <> roots.(i) then ok := false;
-      (* A multi-fanout or output node is its own root. *)
-      if (Circuit.fanout_count c i <> 1 || Circuit.is_output c i) && roots.(i) <> i then
-        ok := false);
+      (* A multi-fanout or output node is its own root; any other node
+         has its unique consumer's root. *)
+      if Circuit.fanout_count c i <> 1 || Circuit.is_output c i then begin
+        if roots.(i) <> i then ok := false
+      end
+      else if roots.(i) <> roots.((Circuit.fanouts c i).(0)) then ok := false);
   !ok
 
 let independence_order_is_permutation =

@@ -131,50 +131,6 @@ let generator_no_dead_nodes =
   QCheck.Test.make ~name:"generated circuits have no dead logic" ~count:50 arb_circuit
   @@ fun c -> Array.length (Validate.dead_nodes c) = 0
 
-(* --- fanout-free regions ------------------------------------------- *)
-
-let ffr_stems_are_stems =
-  QCheck.Test.make ~name:"Ffr stems are outputs or fanout <> 1" ~count:100 arb_circuit
-  @@ fun c ->
-  let ffr = Ffr.compute c in
-  let ok = ref true in
-  Circuit.iter_nodes c (fun n ->
-      let stemness = Circuit.is_output c n || Circuit.fanout_count c n <> 1 in
-      if Ffr.is_stem ffr n <> stemness then ok := false);
-  Array.for_all (Ffr.is_stem ffr) (Ffr.stems ffr) && !ok
-
-let ffr_walk_reaches_stem =
-  QCheck.Test.make ~name:"unique-fanout walk from any node lands on its stem" ~count:100
-    arb_circuit
-  @@ fun c ->
-  let ffr = Ffr.compute c in
-  let ok = ref true in
-  Circuit.iter_nodes c (fun n ->
-      let x = ref n in
-      while not (Ffr.is_stem ffr !x) do
-        x := (Circuit.fanouts c !x).(0)
-      done;
-      if Ffr.stem_of ffr n <> !x then ok := false);
-  !ok
-
-let ffr_regions_partition =
-  QCheck.Test.make ~name:"Ffr regions partition the nodes" ~count:100 arb_circuit
-  @@ fun c ->
-  let ffr = Ffr.compute c in
-  let seen = Array.make (Circuit.node_count c) false in
-  Array.iter
-    (fun s ->
-      Array.iter
-        (fun n ->
-          if seen.(n) || Ffr.stem_of ffr n <> s then failwith "overlap";
-          seen.(n) <- true)
-        (Ffr.members ffr s))
-    (Ffr.stems ffr);
-  Array.length (Ffr.stems ffr) = Ffr.region_count ffr
-  && Array.for_all Fun.id seen
-  && Ffr.average_size ffr
-     = float_of_int (Circuit.node_count c) /. float_of_int (Ffr.region_count ffr)
-
 let generator_deterministic () =
   let a = Generate.random ~seed:11 ~name:"x" (Generate.profile ~pis:5 ~gates:30 ()) in
   let b = Generate.random ~seed:11 ~name:"x" (Generate.profile ~pis:5 ~gates:30 ()) in
@@ -588,12 +544,6 @@ let () =
           qtest fanout_inverse_of_fanin;
           qtest generator_no_dead_nodes;
           Alcotest.test_case "generator deterministic" `Quick generator_deterministic;
-        ] );
-      ( "ffr",
-        [
-          qtest ffr_stems_are_stems;
-          qtest ffr_walk_reaches_stem;
-          qtest ffr_regions_partition;
         ] );
       ( "bench",
         [

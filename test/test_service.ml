@@ -292,7 +292,7 @@ let warm_replies_byte_identical () =
   check Alcotest.string "cold session agrees" (strip_cached cold) (strip_cached (reply_string t2 (req "order")))
 
 let replies_match_offline_pipeline () =
-  (* jobs only sizes the domain pool; replies must not depend on it. *)
+  (* jobs only sets simulation lanes; replies must not depend on it. *)
   let reply jobs =
     let t = Session.create ~capacity:4 ~jobs () in
     reply_string t (Protocol.single "order" order_params)

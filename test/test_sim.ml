@@ -281,21 +281,6 @@ let parallel_detection_sets_identical =
   let pats = Patterns.random rng ~n_inputs ~count:150 in
   words_equal (Faultsim.detection_sets fl pats) (Faultsim.detection_sets ~jobs:env_jobs fl pats)
 
-let parallel_dropping_identical =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "with_dropping/n_detection/capped ~jobs:%d = serial" env_jobs)
-    ~count:30 arb_circuit
-  @@ fun c ->
-  let fl = Collapse.collapsed c in
-  let n_inputs = Array.length (Circuit.inputs c) in
-  let rng = Rng.create 67 in
-  let pats = Patterns.random rng ~n_inputs ~count:150 in
-  Faultsim.with_dropping fl pats = Faultsim.with_dropping ~jobs:env_jobs fl pats
-  && Faultsim.n_detection fl pats ~n:3 = Faultsim.n_detection ~jobs:env_jobs fl pats ~n:3
-  && words_equal
-       (Faultsim.detection_sets_capped fl pats ~n:3)
-       (Faultsim.detection_sets_capped ~jobs:env_jobs fl pats ~n:3)
-
 (* --- kernel parity ------------------------------------------------- *)
 
 (* The stem kernel is a pure work-saving transformation of the
@@ -335,18 +320,16 @@ let kernel_dropping_family_identical =
   List.for_all
     (fun k ->
       drop0 = Faultsim.with_dropping ~kernel:k fl pats
-      && drop0 = Faultsim.with_dropping ~jobs:env_jobs ~kernel:k fl pats
       && nd0 = Faultsim.n_detection ~kernel:k fl pats ~n:3
-      && nd0 = Faultsim.n_detection ~jobs:env_jobs ~kernel:k fl pats ~n:3
-      && words_equal cap0 (Faultsim.detection_sets_capped ~kernel:k fl pats ~n:3)
-      && words_equal cap0 (Faultsim.detection_sets_capped ~jobs:env_jobs ~kernel:k fl pats ~n:3))
+      && words_equal cap0 (Faultsim.detection_sets_capped ~kernel:k fl pats ~n:3))
     kernels
 
-(* Every driver under each kernel, pool size {1, ADI_JOBS} and lane
-   width {1, ADI_BLOCK_WIDTH} against the naive oracle: the expected
-   detection sets, first detections, n-capped counts and n-capped sets
-   are all derived from Refsim's detection table, so the dropping
-   family is checked against an independent implementation too. *)
+(* Every driver under each kernel and lane width {1, ADI_BLOCK_WIDTH}
+   (detection sets also at jobs {1, ADI_JOBS}) against the naive
+   oracle: the expected detection sets, first detections, n-capped
+   counts and n-capped sets are all derived from Refsim's detection
+   table, so the dropping family is checked against an independent
+   implementation too. *)
 let kernel_matches_oracle =
   QCheck.Test.make ~name:"every driver x kernel = naive oracle" ~count:15 arb_circuit
   @@ fun c ->
@@ -384,16 +367,15 @@ let kernel_matches_oracle =
   List.for_all
     (fun kernel ->
       List.for_all
-        (fun jobs ->
+        (fun block_width ->
           List.for_all
-            (fun block_width ->
-              words_equal sets (Faultsim.detection_sets ~jobs ~kernel ~block_width fl pats)
-              && Faultsim.with_dropping ~jobs ~kernel ~block_width fl pats = drop
-              && Faultsim.n_detection ~jobs ~kernel ~block_width fl pats ~n = counts
-              && words_equal capped
-                   (Faultsim.detection_sets_capped ~jobs ~kernel ~block_width fl pats ~n))
-            (List.sort_uniq compare [ 1; env_width ]))
-        (List.sort_uniq compare [ 1; env_jobs ]))
+            (fun jobs ->
+              words_equal sets (Faultsim.detection_sets ~jobs ~kernel ~block_width fl pats))
+            (List.sort_uniq compare [ 1; env_jobs ])
+          && Faultsim.with_dropping ~kernel ~block_width fl pats = drop
+          && Faultsim.n_detection ~kernel ~block_width fl pats ~n = counts
+          && words_equal capped (Faultsim.detection_sets_capped ~kernel ~block_width fl pats ~n))
+        (List.sort_uniq compare [ 1; env_width ]))
     kernels
 
 (* --- wide superblocks ---------------------------------------------- *)
@@ -444,8 +426,6 @@ let block_width_dropping_family_identical =
       List.for_all
         (fun w ->
           drop0 = Faultsim.with_dropping ~kernel:k ~block_width:w fl pats
-          && drop0
-             = Faultsim.with_dropping ~jobs:env_jobs ~kernel:k ~block_width:w fl pats
           && nd0 = Faultsim.n_detection ~kernel:k ~block_width:w fl pats ~n:3
           && words_equal cap0
                (Faultsim.detection_sets_capped ~kernel:k ~block_width:w fl pats ~n:3))
@@ -579,16 +559,15 @@ let () =
           qtest capped_sets_are_prefixes;
           qtest detects_single;
           qtest parallel_detection_sets_identical;
-          qtest parallel_dropping_identical;
           qtest kernel_detection_sets_identical;
           qtest kernel_dropping_family_identical;
           qtest kernel_matches_oracle;
+          qtest deductive_matches_event_driven;
           qtest block_width_detection_sets_identical;
           qtest block_width_dropping_family_identical;
           qtest block_outputs_width_identical;
           Alcotest.test_case "kernel names roundtrip" `Quick kernel_names_roundtrip;
           qtest wide_matches_oracle;
-          qtest deductive_matches_event_driven;
           qtest deductive_full_universe;
         ] );
     ]

@@ -257,54 +257,34 @@ let bitvec_popcount_word =
 
 (* --- Parallel ------------------------------------------------------ *)
 
-let par_pool_reuse () =
-  Parallel.with_pool ~jobs:3 @@ fun pool ->
-  check Alcotest.int "lane count" 3 (Parallel.jobs pool);
-  let total = ref 0 in
-  for round = 1 to 5 do
-    let acc = Array.make 3 0 in
-    Parallel.run pool (Array.init 3 (fun i () -> acc.(i) <- round));
-    total := !total + Array.fold_left ( + ) 0 acc
-  done;
-  check Alcotest.int "five rounds on one pool" (3 * (1 + 2 + 3 + 4 + 5)) !total
+(* Seven tasks fall into at most [cores] groups, so on a small machine
+   a group runs several tasks in turn; each task still runs once. *)
+let par_each_task_once () =
+  let hits = Array.init 7 (fun _ -> Atomic.make 0) in
+  Parallel.run (Array.init 7 (fun i () -> Atomic.incr hits.(i)));
+  check Alcotest.(list int) "each task once" (List.init 7 (fun _ -> 1))
+    (Array.to_list (Array.map Atomic.get hits))
 
 let par_exception_propagates () =
-  Parallel.with_pool ~jobs:4 @@ fun pool ->
-  let ran = Array.make 4 false in
+  (* Odd tasks raise; on 2 cores task 2 shares task 1's group. *)
+  let ran = Array.init 7 (fun _ -> Atomic.make false) in
   let tasks =
-    Array.init 4 (fun i ->
+    Array.init 7 (fun i ->
         fun () ->
-         ran.(i) <- true;
-         if i >= 2 then failwith (Printf.sprintf "task %d" i))
+         Atomic.set ran.(i) true;
+         if i mod 2 = 1 then failwith (Printf.sprintf "task %d" i))
   in
-  (match Parallel.run pool tasks with
+  (match Parallel.run tasks with
   | () -> Alcotest.fail "expected a task failure to propagate"
-  | exception Failure msg -> check Alcotest.string "lowest-indexed failure wins" "task 2" msg);
-  check Alcotest.bool "all tasks still ran" true (Array.for_all Fun.id ran);
-  (* The pool must survive a failing batch. *)
-  let ok = ref false in
-  Parallel.run pool [| (fun () -> ok := true) |];
-  check Alcotest.bool "pool usable after exception" true !ok
+  | exception Failure msg -> check Alcotest.string "lowest-indexed failure wins" "task 1" msg);
+  check Alcotest.bool "later tasks still ran" true (Array.for_all Atomic.get ran)
 
 let par_single_lane_inline () =
-  Parallel.with_pool ~jobs:1 @@ fun pool ->
-  (* With one lane everything runs on the calling domain. *)
+  (* One task runs on the calling domain. *)
   let self = Domain.self () in
   let seen = ref None in
-  Parallel.run pool [| (fun () -> seen := Some (Domain.self ())) |];
+  Parallel.run [| (fun () -> seen := Some (Domain.self ())) |];
   check Alcotest.bool "ran inline" true (!seen = Some self)
-
-let par_create_rejects () =
-  Alcotest.check_raises "jobs 0" (Invalid_argument "Parallel.create: jobs must be at least 1")
-    (fun () -> Parallel.with_pool ~jobs:0 (fun _ -> ()))
-
-let par_shutdown_idempotent () =
-  let pool = Parallel.create ~jobs:4 () in
-  Parallel.shutdown pool;
-  Parallel.shutdown pool;
-  Alcotest.check_raises "run after shutdown"
-    (Invalid_argument "Parallel.run: pool is shut down") (fun () ->
-      Parallel.run pool [| (fun () -> ()) |])
 
 (* --- Heap --------------------------------------------------------- *)
 
@@ -497,11 +477,9 @@ let () =
         ] );
       ( "parallel",
         [
-          Alcotest.test_case "pool reuse" `Quick par_pool_reuse;
+          Alcotest.test_case "every task runs exactly once" `Quick par_each_task_once;
           Alcotest.test_case "exceptions propagate" `Quick par_exception_propagates;
           Alcotest.test_case "single lane runs inline" `Quick par_single_lane_inline;
-          Alcotest.test_case "create rejects jobs 0" `Quick par_create_rejects;
-          Alcotest.test_case "shutdown idempotent" `Quick par_shutdown_idempotent;
         ] );
       ( "heap",
         [
