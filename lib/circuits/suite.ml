@@ -10,7 +10,7 @@ type entry = {
 
 (* Input counts follow Table 4 of the paper; gate counts are the
    published ISCAS-89 combinational-core sizes, used as calibration
-   targets by [build]. *)
+   targets by [regenerate]. *)
 let entries =
   [
     { name = "syn208"; paper_name = "irs208"; pis = 19; pos = 10; gates = 112; seed = 208; big = false };
@@ -33,52 +33,49 @@ let small = List.filter (fun e -> not e.big) entries
 let find name = List.find_opt (fun e -> e.name = name) entries
 let names () = List.map (fun e -> e.name) entries
 
-let cache : (string, Circuit.t) Hashtbl.t = Hashtbl.create 16
+let netlist e = List.assoc e.name Suite_netlists.all
+let build e = Bench_format.parse_string ~file:(e.name ^ ".bench") ~title:e.name (netlist e)
 
 (* Suite circuits are produced like the paper's "irredundant versions":
    generate, remove redundancy, and re-attach any input the removal
    orphaned.  Redundancy removal shrinks random logic by an unstable
    factor, so the generator size is calibrated by iteration until the
    result lands near the published gate count.  Every step is seeded,
-   so the outcome is identical in every build. *)
-let build e =
-  match Hashtbl.find_opt cache e.name with
-  | Some c -> c
-  | None ->
-      (* Gentler settings on the two large circuits keep suite
-         construction fast: a low backtrack limit still proves the bulk
-         of the redundancies, and a handful of residual ones matches
-         real "irredundant" benchmark releases closely enough. *)
-      let max_rounds = if e.big then 3 else 24 in
-      let backtrack_limit = if e.big then 64 else 4096 in
-      let random_vectors = if e.big then 8192 else 2048 in
-      let attempts = if e.big then 2 else 4 in
-      let cook gates =
-        let raw =
-          Generate.random ~seed:e.seed ~name:e.name
-            (Generate.profile ~outputs:e.pos ~pis:e.pis ~gates ())
-        in
-        fst (Irredundant.remove ~max_rounds ~backtrack_limit ~random_vectors raw)
-      in
-      let rec calibrate gates attempt =
-        let c = cook gates in
-        let got = Circuit.gate_count c in
-        if attempt >= attempts || float_of_int got >= 0.85 *. float_of_int e.gates then c
-        else begin
-          let gates' = max (gates + 8) (gates * e.gates / max 1 got) in
-          calibrate gates' (attempt + 1)
-        end
-      in
-      let c = calibrate e.gates 1 in
-      (* Re-attach orphaned inputs and clean up once more. *)
-      let rng = Util.Rng.create (e.seed lxor 0x5eed) in
-      let c = Generate.revive_dead_inputs rng c in
-      let c, _ =
-        Irredundant.remove ~max_rounds:(min 4 max_rounds) ~backtrack_limit ~random_vectors c
-      in
-      let c = Generate.revive_dead_inputs rng c in
-      Hashtbl.replace cache e.name c;
-      c
+   so the outcome is identical in every run: the embedded netlists
+   are this function's output. *)
+let regenerate e =
+  (* Gentler settings on the two large circuits keep suite
+     construction fast: a low backtrack limit still proves the bulk
+     of the redundancies, and a handful of residual ones matches
+     real "irredundant" benchmark releases closely enough. *)
+  let max_rounds = if e.big then 3 else 24 in
+  let backtrack_limit = if e.big then 64 else 4096 in
+  let random_vectors = if e.big then 8192 else 2048 in
+  let attempts = if e.big then 2 else 4 in
+  let cook gates =
+    let raw =
+      Generate.random ~seed:e.seed ~name:e.name
+        (Generate.profile ~outputs:e.pos ~pis:e.pis ~gates ())
+    in
+    fst (Irredundant.remove ~max_rounds ~backtrack_limit ~random_vectors raw)
+  in
+  let rec calibrate gates attempt =
+    let c = cook gates in
+    let got = Circuit.gate_count c in
+    if attempt >= attempts || float_of_int got >= 0.85 *. float_of_int e.gates then c
+    else begin
+      let gates' = max (gates + 8) (gates * e.gates / max 1 got) in
+      calibrate gates' (attempt + 1)
+    end
+  in
+  let c = calibrate e.gates 1 in
+  (* Re-attach orphaned inputs and clean up once more. *)
+  let rng = Util.Rng.create (e.seed lxor 0x5eed) in
+  let c = Generate.revive_dead_inputs rng c in
+  let c, _ =
+    Irredundant.remove ~max_rounds:(min 4 max_rounds) ~backtrack_limit ~random_vectors c
+  in
+  Generate.revive_dead_inputs rng c
 
 let build_by_name name =
   match find name with

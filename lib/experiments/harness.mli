@@ -1,8 +1,8 @@
 (** Experiment orchestration.
 
-    Builds each suite circuit once per process, shares the per-circuit
-    evaluations between tables 5/6/7 and figure 1, and renders the
-    requested artefact.  [adi-atpg experiment NAME [--full]] is its
+    Evaluates each suite circuit once per process, shares the
+    per-circuit evaluations between tables 5/6/7 and figure 1, and
+    renders the requested artefact.  [adi-atpg experiment NAME [--full]] is its
     front end. *)
 
 val evaluations : ?seed:int -> full:bool -> unit -> Evaluation.circuit_eval list

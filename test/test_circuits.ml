@@ -386,7 +386,7 @@ let scan_chain_on_detector () =
 (* --- suite ---------------------------------------------------------- *)
 
 let suite_deterministic () =
-  (* build is memoised; force two fresh generations via Generate. *)
+  (* Two fresh generations of the first entry's raw logic. *)
   let e = List.hd Suite.small in
   let a = Generate.random ~seed:e.Suite.seed ~name:e.Suite.name
       (Generate.profile ~outputs:e.Suite.pos ~pis:e.Suite.pis ~gates:e.Suite.gates ())
@@ -395,6 +395,41 @@ let suite_deterministic () =
       (Generate.profile ~outputs:e.Suite.pos ~pis:e.Suite.pis ~gates:e.Suite.gates ())
   in
   check Alcotest.string "same netlist" (Bench_format.to_string a) (Bench_format.to_string b)
+
+(* Every embedded netlist parses back to its own text: the text is in
+   [Bench_format.to_string]'s canonical form. *)
+let suite_embedded_roundtrip () =
+  List.iter
+    (fun (e : Suite.entry) ->
+      let c = Suite.build_by_name e.Suite.name in
+      check Alcotest.string e.Suite.name (Suite.netlist e) (Bench_format.to_string c);
+      check Alcotest.string (e.Suite.name ^ " title") e.Suite.name (Circuit.title c))
+    Suite.entries
+
+(* The embedded text is the recipe's output: regenerate the two
+   quickest circuits and compare byte for byte and by digest (the
+   bench [suite] stage does all fourteen). *)
+let suite_regenerate_matches_embedded () =
+  List.iter
+    (fun name ->
+      let e = Option.get (Suite.find name) in
+      let fresh = Suite.regenerate e in
+      check Alcotest.string (name ^ " text") (Suite.netlist e) (Bench_format.to_string fresh);
+      check Alcotest.string (name ^ " digest") (Generate.digest (Suite.build e))
+        (Generate.digest fresh))
+    [ "syn208"; "syn298" ]
+
+(* Builds share no state: names resolved on several domains at once
+   give the circuits a serial resolution gives. *)
+let suite_concurrent_builds_agree () =
+  let names = [| "syn208"; "syn298"; "syn344"; "c17"; "syn208"; "lion"; "syn420"; "syn298" |] in
+  let serial = Array.map (fun n -> Generate.digest (Suite.build_by_name n)) names in
+  let concurrent = Array.make (Array.length names) "" in
+  Util.Parallel.run
+    (Array.mapi
+       (fun i n () -> concurrent.(i) <- Generate.digest (Suite.build_by_name n))
+       names);
+  Array.iteri (fun i d -> check Alcotest.string names.(i) d concurrent.(i)) serial
 
 let suite_entry_lookup () =
   check Alcotest.bool "finds syn420" true (Suite.find "syn420" <> None);
@@ -503,6 +538,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick suite_deterministic;
           Alcotest.test_case "entry lookup" `Quick suite_entry_lookup;
           Alcotest.test_case "paper input counts" `Quick suite_matches_paper_inputs;
+          Alcotest.test_case "embedded netlists round-trip" `Quick suite_embedded_roundtrip;
+          Alcotest.test_case "regenerate = embedded" `Quick suite_regenerate_matches_embedded;
+          Alcotest.test_case "concurrent builds agree" `Quick suite_concurrent_builds_agree;
         ] );
       ( "generate",
         [

@@ -83,6 +83,23 @@ let ablation_static_renders () =
   check Alcotest.bool "title" true (contains s "Ablation A1");
   check Alcotest.bool "row" true (contains s "lion")
 
+(* The paper's relations over the 12 small circuits at seed 1: the
+   mean test count of Table 5 orders 0dynm < dynm < orig < incr0, and
+   dynm's coverage curve is steeper than orig's on average (Table 7's
+   AVE ratio below 1). *)
+let paper_relations_hold () =
+  let evs = Harness.evaluations ~seed:1 ~full:false () in
+  check Alcotest.int "circuits" 12 (List.length evs);
+  let mean f = List.fold_left (fun a ev -> a +. f ev) 0.0 evs /. float_of_int (List.length evs) in
+  let tests kind = mean (fun ev -> float_of_int (Pipeline.test_count (Evaluation.run ev kind))) in
+  let t0dynm = tests Ordering.Dynm0 and tdynm = tests Ordering.Dynm in
+  let torig = tests Ordering.Orig and tincr0 = tests Ordering.Incr0 in
+  let relation = Printf.sprintf "%.1f < %.1f < %.1f < %.1f" t0dynm tdynm torig tincr0 in
+  check Alcotest.bool ("0dynm < dynm < orig < incr0: " ^ relation) true
+    (t0dynm < tdynm && tdynm < torig && torig < tincr0);
+  let ave = mean (fun ev -> Evaluation.ave_ratio ev Ordering.Dynm) in
+  check Alcotest.bool (Printf.sprintf "mean AVE dynm/orig %.3f < 1" ave) true (ave < 1.0)
+
 let harness_rejects_unknown () =
   check Alcotest.bool "unknown experiment" true
     (try
@@ -262,6 +279,7 @@ let () =
           Alcotest.test_case "figure1" `Quick figure1_has_markers;
           Alcotest.test_case "ablation A1" `Quick ablation_static_renders;
           Alcotest.test_case "ablation A2" `Quick ablation_u_renders;
+          Alcotest.test_case "paper relations" `Quick paper_relations_hold;
         ] );
       ( "harness",
         [
