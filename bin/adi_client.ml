@@ -130,9 +130,8 @@ let config_params_term =
   let int_p name doc docv = opt_param name (fun i -> Json.Int i) Arg.int doc docv in
   let float_p name doc docv = opt_param name (fun f -> Json.Float f) Arg.float doc docv in
   let str_p name doc docv = opt_param name (fun s -> Json.Str s) Arg.string doc docv in
-  let gather seed pool tc jobs width kernel order backtracks retries budget =
-    List.filter_map Fun.id
-      [ seed; pool; tc; jobs; width; kernel; order; backtracks; retries; budget ]
+  let gather seed pool tc jobs order backtracks retries budget =
+    List.filter_map Fun.id [ seed; pool; tc; jobs; order; backtracks; retries; budget ]
   in
   Term.(
     const gather
@@ -140,10 +139,6 @@ let config_params_term =
     $ int_p "pool" "Candidate-vector pool size for U selection." "N"
     $ float_p "target_coverage" "U-selection coverage target, in (0, 1]." "C"
     $ int_p "jobs" "Detection-set simulation lanes for this request." "JOBS"
-    $ opt_param ~param:"block_width" "block-width" (fun i -> Json.Int i) Arg.int
-        "Words per simulation lane: 1, 2, 4 or 8 (the $(b,block_width) request \
-         parameter; results are identical for any width)." "W"
-    $ str_p "kernel" "Fault-simulation kernel: event or stem." "KERNEL"
     $ str_p "order" "Fault order: orig, incr0, decr, 0decr, dynm, 0dynm." "ORDER"
     $ int_p "backtracks" "PODEM backtrack limit." "B"
     $ opt_param ~param:"retries" "abort-retries" (fun i -> Json.Int i) Arg.int

@@ -138,9 +138,7 @@ let sim_cmd =
     let fl = Collapse.collapsed c in
     let rng = Util.Rng.create cfg.Run_config.seed in
     let pats = Patterns.random rng ~n_inputs:(Array.length (Circuit.inputs c)) ~count:n in
-    let { Faultsim.detected; _ } =
-      Faultsim.with_dropping ~block_width:cfg.Run_config.block_width fl pats
-    in
+    let { Faultsim.detected; _ } = Faultsim.with_dropping fl pats in
     Printf.printf "%d random vectors detect %d / %d collapsed faults (%.2f%%)\n" n detected
       (Fault_list.count fl)
       (100.0 *. float_of_int detected /. float_of_int (Fault_list.count fl))
@@ -409,7 +407,11 @@ let experiment_cmd =
     guard (fun () -> print_string (Harness.run_experiment ~seed ~full which))
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate a table or figure from the paper")
+    (Cmd.info "experiment"
+       ~doc:
+         "Regenerate a table or figure from the paper. The tables run one \
+          fault-simulation lane: the command takes no --jobs, and results are identical \
+          at any lane count.")
     Term.(const run $ which $ full $ seed_arg)
 
 let main_cmd =

@@ -42,13 +42,11 @@ let of_dsets estimator fault_list patterns dsets =
   end;
   { fault_list; patterns; dsets; ndet; adi }
 
-let compute ?(estimator = Minimum) ?(jobs = 1) ?kernel ?block_width fault_list patterns =
-  of_dsets estimator fault_list patterns
-    (Faultsim.detection_sets ~jobs ?kernel ?block_width fault_list patterns)
+let compute ?(estimator = Minimum) ?(jobs = 1) ?kernel:_ ?block_width:_ fault_list patterns =
+  of_dsets estimator fault_list patterns (Faultsim.detection_sets ~jobs fault_list patterns)
 
-let compute_n_detection ?(estimator = Minimum) ?kernel ?block_width ~n fault_list patterns =
-  of_dsets estimator fault_list patterns
-    (Faultsim.detection_sets_capped ?kernel ?block_width fault_list patterns ~n)
+let compute_n_detection ?(estimator = Minimum) ~n fault_list patterns =
+  of_dsets estimator fault_list patterns (Faultsim.detection_sets_capped fault_list patterns ~n)
 
 let detected t fi = t.adi.(fi) > 0
 
@@ -73,13 +71,11 @@ let coverage_of_u t =
 
 type u_selection = { u : Patterns.t; pool_detected : int; prefix_detected : int }
 
-let select_u ?(pool = 10_000) ?(target_coverage = 0.9) ?jobs:_ ?kernel ?block_width rng fl =
+let select_u ?(pool = 10_000) ?(target_coverage = 0.9) ?jobs:_ ?kernel:_ ?block_width:_ rng fl =
   let c = Fault_list.circuit fl in
   let n_inputs = Array.length (Circuit.inputs c) in
   let pats = Patterns.random rng ~n_inputs ~count:pool in
-  let { Faultsim.first_detection; detected } =
-    Faultsim.with_dropping ?kernel ?block_width fl pats
-  in
+  let { Faultsim.first_detection; detected } = Faultsim.with_dropping fl pats in
   let nf = Fault_list.count fl in
   (* When the pool cannot reach the target (redundant faults), fall
      back to the target fraction of what the pool does detect, so U

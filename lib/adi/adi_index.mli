@@ -29,22 +29,21 @@ type estimator =
 val compute :
   ?estimator:estimator ->
   ?jobs:int ->
-  ?kernel:Faultsim.kernel ->
-  ?block_width:int ->
+  ?kernel:unit ->
+  ?block_width:unit ->
   Fault_list.t ->
   Patterns.t ->
   t
 (** Full non-dropping fault simulation of [U] followed by the chosen
     reduction (default {!Minimum}).  Cost: one
     {!Faultsim.detection_sets} run.  [jobs] (default 1) is the
-    simulation's lane count, [kernel] selects the detection-word
-    kernel and [block_width] the superblock width; results are
-    identical for any values. *)
+    simulation's lane count; results are identical for any value.
+
+    [kernel] and [block_width] are ignored; kept for
+    perfbench/probe.ml until the next benchmark PR. *)
 
 val compute_n_detection :
   ?estimator:estimator ->
-  ?kernel:Faultsim.kernel ->
-  ?block_width:int ->
   n:int ->
   Fault_list.t ->
   Patterns.t ->
@@ -83,8 +82,8 @@ val select_u :
   ?pool:int ->
   ?target_coverage:float ->
   ?jobs:int ->
-  ?kernel:Faultsim.kernel ->
-  ?block_width:int ->
+  ?kernel:unit ->
+  ?block_width:unit ->
   Util.Rng.t ->
   Fault_list.t ->
   u_selection
@@ -94,6 +93,6 @@ val select_u :
     the target fraction of the faults the pool does detect, keeping [U]
     small as the paper intends.
 
-    [jobs] is ignored: the scan runs {!Faultsim.with_dropping}, which
-    is serial.  The argument stays only until the benchmark harness
-    stops passing it. *)
+    The pool scan is {!Faultsim.with_dropping}, which is serial.
+    [jobs], [kernel] and [block_width] are ignored; kept for
+    perfbench/probe.ml until the next benchmark PR. *)

@@ -15,10 +15,7 @@ let jobs setup = setup.config.Run_config.jobs
 
 let prepare config circuit =
   Run_config.validate config;
-  let { Run_config.seed; pool; target_coverage; jobs; block_width; faultsim_kernel = kernel; _ }
-      =
-    config
-  in
+  let { Run_config.seed; pool; target_coverage; jobs; _ } = config in
   let tr = Trace.current () in
   Trace.span tr
     ~attrs:
@@ -38,11 +35,11 @@ let prepare config circuit =
   let rng = Util.Rng.create seed in
   let selection =
     Trace.span tr "prepare.select_u" (fun () ->
-        Adi_index.select_u ~pool ~target_coverage ?kernel ~block_width rng faults)
+        Adi_index.select_u ~pool ~target_coverage rng faults)
   in
   let adi =
     Trace.span tr "prepare.adi" (fun () ->
-        Adi_index.compute ~jobs ?kernel ~block_width faults selection.Adi_index.u)
+        Adi_index.compute ~jobs faults selection.Adi_index.u)
   in
   if Trace.enabled tr then begin
     let st = collapse.Collapse.stages in

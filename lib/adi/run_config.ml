@@ -3,8 +3,8 @@ type t = {
   pool : int;
   target_coverage : float;
   jobs : int;
-  block_width : int;
-  faultsim_kernel : Faultsim.kernel option;
+  block_width : unit;
+  faultsim_kernel : unit option;
   order : Ordering.kind;
   backtrack_limit : int;
   retries : int;
@@ -24,7 +24,7 @@ let default =
     pool = 10_000;
     target_coverage = 0.9;
     jobs = 1;
-    block_width = 1;
+    block_width = ();
     faultsim_kernel = None;
     order = Ordering.Dynm0;
     backtrack_limit = Engine.default_config.Engine.backtrack_limit;
@@ -56,13 +56,6 @@ let with_jobs jobs t =
   if jobs < 1 then bad "--jobs must be at least 1 (got %d)" jobs;
   { t with jobs }
 
-let with_block_width block_width t =
-  (match block_width with
-  | 1 | 2 | 4 | 8 -> ()
-  | w -> bad "--block-width must be 1, 2, 4 or 8 (got %d)" w);
-  { t with block_width }
-
-let with_faultsim_kernel faultsim_kernel t = { t with faultsim_kernel }
 let with_order order t = { t with order }
 
 let with_backtrack_limit backtrack_limit t =
@@ -105,7 +98,6 @@ let validate t =
     (default |> with_seed t.seed |> with_pool t.pool
     |> with_target_coverage t.target_coverage
     |> with_jobs t.jobs
-    |> with_block_width t.block_width
     |> with_backtrack_limit t.backtrack_limit |> with_retries t.retries
     |> with_time_budget t.time_budget_s
     |> with_per_fault_budget t.per_fault_budget_s

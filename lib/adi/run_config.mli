@@ -18,15 +18,12 @@ type t = {
   pool : int;  (** candidate vectors for U selection *)
   target_coverage : float;  (** U-selection coverage target, in (0, 1] *)
   jobs : int;  (** lanes of detection-set and dictionary simulation *)
-  block_width : int;
-      (** 64-bit words per simulation lane (1, 2, 4 or 8 — 64 to 512
-          patterns per pass).  A pure throughput knob: detection words
-          are bit-identical for every width *)
-  faultsim_kernel : Faultsim.kernel option;
-      (** detection-word kernel for whole-set fault simulation; [None]
-          keeps the historical per-driver defaults.  Like [jobs] this
-          is a pure throughput knob — every kernel yields
-          bit-identical detection sets *)
+  block_width : unit;
+      (** ignored; kept for perfbench/probe.ml until the next
+          benchmark PR *)
+  faultsim_kernel : unit option;
+      (** ignored; kept for perfbench/probe.ml until the next
+          benchmark PR *)
   order : Ordering.kind;  (** fault ordering for ATPG runs *)
   backtrack_limit : int;
   retries : int;  (** abort-retry escalation passes *)
@@ -61,14 +58,6 @@ val with_target_coverage : float -> t -> t
 val with_jobs : int -> t -> t
 (** Rejects [jobs < 1] before the value can reach the simulator. *)
 
-val with_block_width : int -> t -> t
-(** Rejects widths outside [{1, 2, 4, 8}].  Results are bit-identical
-    for every accepted width. *)
-
-val with_faultsim_kernel : Faultsim.kernel option -> t -> t
-(** Select the fault-simulation kernel ([None] = per-driver default).
-    Results are byte-identical for every kernel. *)
-
 val with_order : Ordering.kind -> t -> t
 val with_backtrack_limit : int -> t -> t
 val with_retries : int -> t -> t
@@ -93,7 +82,7 @@ val observed : t -> bool
 val fingerprint : t -> string
 (** Canonical rendering of exactly the fields that determine a
     {!Pipeline.prepare} result for a given circuit — [seed], [pool]
-    and [target_coverage].  [jobs], [block_width], the engine knobs
+    and [target_coverage].  [jobs], the engine knobs
     and the observability flags are deliberately excluded: they never
     change the prepared artifacts.  This is the configuration half of the
     service store's content-addressed cache key, so its format is

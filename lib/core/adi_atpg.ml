@@ -54,7 +54,6 @@ module Refsim = Refsim
 module Scoap = Scoap
 module Podem = Podem
 module Dalg = Dalg
-module Transition = Transition
 module Engine = Engine
 module Compact = Compact
 module Reorder = Reorder

@@ -1,7 +1,7 @@
 (* Compact fault dictionary: per-fault detection signatures over a
    fixed test set, with per-output slices for response-level matching.
-   Built from the non-dropping event kernel on the collapsed probe
-   universe, so the signature of fault [f] is exactly row [f] of
+   Built from non-dropping per-fault event propagation on the collapsed
+   probe universe, so the signature of fault [f] is exactly row [f] of
    [Faultsim.detection_sets]. *)
 
 module Bitvec = Util.Bitvec
@@ -52,29 +52,28 @@ let block_mask count b =
   let cnt = count - (b * 64) in
   if cnt >= 64 then -1L else Int64.sub (Int64.shift_left 1L cnt) 1L
 
-let build ?(jobs = 1) ?(block_width = 1) fl pats =
+let build ?(jobs = 1) fl pats =
   let c = Fault_list.circuit fl in
   let nf = Fault_list.count fl in
   let nt = Patterns.count pats in
   let nout = Array.length (Circuit.outputs c) in
+  let nblocks = Patterns.blocks pats in
+  let width = Faultsim.superblock_width ~jobs nblocks in
   let tr = Trace.current () in
   Trace.span tr
     ~attrs:
       [ ("faults", Trace.Int nf); ("tests", Trace.Int nt);
         ("outputs", Trace.Int nout); ("jobs", Trace.Int jobs);
-        ("block_width", Trace.Int block_width) ]
+        ("block_width", Trace.Int width) ]
     "diagnosis.build"
   @@ fun () ->
-  let width = block_width in
   let signatures = Array.init nf (fun _ -> Bitvec.create nt) in
   let dense = Array.init nf (fun _ -> Array.init nout (fun _ -> Bitvec.create nt)) in
   let good_out = Goodsim.outputs c pats in
-  let nblocks = Patterns.blocks pats in
   let nsb = (nblocks + width - 1) / width in
-  (* Mirrors [Faultsim.detection_sets]: each lane owns a static
-     slice of the pattern superblocks and writes only its blocks'
-     words, so the result is bit-identical for any [jobs] and any
-     [block_width]. *)
+  (* Mirrors [Faultsim.detection_sets], width rule included: each lane
+     owns a static slice of the pattern superblocks and writes only its
+     blocks' words, so the result is bit-identical for any [jobs]. *)
   let k = min (max 1 jobs) (max nsb 1) in
   let wss = Array.init k (fun _ -> Faultsim.workspace ~width c) in
   Parallel.run

@@ -9,17 +9,17 @@
     is observed at, enabling response-level matching.
 
     Building runs under a [diagnosis.build] trace span and, like every
-    simulator driver, is bit-identical for any [jobs] and any
-    [block_width]. *)
+    simulator driver, is bit-identical for any [jobs]; the superblock
+    width follows {!Faultsim.superblock_width}. *)
 
 type t
 
 val magic : string
 val version : int
 
-val build : ?jobs:int -> ?block_width:int -> Fault_list.t -> Patterns.t -> t
-(** [build fl pats] simulates every fault of [fl] (event kernel,
-    non-dropping) against [pats].  Requires a combinational circuit. *)
+val build : ?jobs:int -> Fault_list.t -> Patterns.t -> t
+(** [build fl pats] simulates every fault of [fl] (per-output event
+    propagation, non-dropping) against [pats].  Requires a combinational circuit. *)
 
 (** {1 Accessors} *)
 

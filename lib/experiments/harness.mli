@@ -3,7 +3,10 @@
     Evaluates each suite circuit once per process, shares the
     per-circuit evaluations between tables 5/6/7 and figure 1, and
     renders the requested artefact.  [adi-atpg experiment NAME [--full]] is its
-    front end. *)
+    front end.  The paper tables run one lane: evaluations prepare
+    with [jobs = 1] whatever [ADI_JOBS] or the machine's core count
+    says, and the command takes no [--jobs].  Lanes never change a
+    result, only the wall time. *)
 
 val evaluations : ?seed:int -> full:bool -> unit -> Evaluation.circuit_eval list
 (** One evaluation per suite circuit ([full] adds syn5378/syn13207,

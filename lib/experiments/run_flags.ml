@@ -15,13 +15,6 @@ let with_order_name s cfg =
       Diagnostics.fail Diagnostics.Invalid_flag
         "unknown order %S (expected orig, incr0, decr, 0decr, dynm or 0dynm)" s
 
-let with_kernel_name s cfg =
-  match Faultsim.kernel_of_string s with
-  | Some k -> Run_config.with_faultsim_kernel (Some k) cfg
-  | None ->
-      Diagnostics.fail Diagnostics.Invalid_flag
-        "unknown fault-simulation kernel %S (expected event or stem)" s
-
 let pipeline_specs =
   [
     {
@@ -39,14 +32,6 @@ let pipeline_specs =
       kind = Int Run_config.with_jobs;
     };
     {
-      names = [ "block-width" ];
-      docv = "W";
-      doc =
-        "64-bit words per simulation lane: 1, 2, 4 or 8 (64 to 512 patterns per pass). \
-         Results are bit-identical for any width.";
-      kind = Int Run_config.with_block_width;
-    };
-    {
       names = [ "pool" ];
       docv = "N";
       doc = "Candidate-vector pool size for U selection.";
@@ -57,14 +42,6 @@ let pipeline_specs =
       docv = "C";
       doc = "U-selection coverage target, in (0, 1].";
       kind = Float Run_config.with_target_coverage;
-    };
-    {
-      names = [ "faultsim-kernel" ];
-      docv = "KERNEL";
-      doc =
-        "Fault-simulation kernel: event or stem (default: auto per driver). \
-         Results are bit-identical for any kernel.";
-      kind = String with_kernel_name;
     };
   ]
 

@@ -16,8 +16,7 @@ type kind =
 type spec = { names : string list; docv : string; doc : string; kind : kind }
 
 val pipeline_specs : spec list
-(** [--seed], [--jobs]/[-j], [--pool], [--target-coverage],
-    [--faultsim-kernel]. *)
+(** [--seed], [--jobs]/[-j], [--pool], [--target-coverage]. *)
 
 val engine_specs : spec list
 (** [--order], [--backtracks], [--retries], budgets,
@@ -34,11 +33,6 @@ val all : spec list
 val with_order_name : string -> Run_config.t -> Run_config.t
 (** Apply [--order]'s string form.  @raise Util.Diagnostics.Failed
     (code [Invalid_flag]) on an unknown order name. *)
-
-val with_kernel_name : string -> Run_config.t -> Run_config.t
-(** Apply [--faultsim-kernel]'s string form ([event] or [stem]).
-    @raise Util.Diagnostics.Failed (code [Invalid_flag]) on an
-    unknown kernel name. *)
 
 val parse :
   ?specs:spec list -> init:Run_config.t -> string list -> Run_config.t * string list

@@ -83,11 +83,23 @@ let int_param params k = typed_param params k Json.to_int ~expected:"an integer"
 let float_param params k = typed_param params k Json.to_float ~expected:"a number"
 let str_param params k = typed_param params k Json.to_str ~expected:"a string"
 
-(* The engine no longer reads [window], but existing clients send it:
-   a bad value still gets the same E-flag, and the atpg reply echoes
-   it. *)
+(* The engine no longer reads [window], and fault simulation no longer
+   takes a [block_width] or [kernel], but existing clients send them: a
+   bad value still gets the same E-flag, and the atpg reply echoes
+   [window]. *)
 let check_window w cfg =
   if w < 1 then Diagnostics.fail Diagnostics.Invalid_flag "--window must be at least 1 (got %d)" w;
+  cfg
+
+let check_block_width w cfg =
+  if not (List.mem w [ 1; 2; 4; 8 ]) then
+    Diagnostics.fail Diagnostics.Invalid_flag "--block-width must be 1, 2, 4 or 8 (got %d)" w;
+  cfg
+
+let check_kernel k cfg =
+  if not (List.mem k [ "event"; "stem" ]) then
+    Diagnostics.fail Diagnostics.Invalid_flag
+      "unknown fault-simulation kernel %S (expected event or stem)" k;
   cfg
 
 (* The request's Run_config: session defaults overlaid with the
@@ -102,9 +114,9 @@ let config_of_params t params =
   |> apply (int_param params "pool") Run_config.with_pool
   |> apply (float_param params "target_coverage") Run_config.with_target_coverage
   |> apply (int_param params "jobs") Run_config.with_jobs
-  |> apply (int_param params "block_width") Run_config.with_block_width
+  |> apply (int_param params "block_width") check_block_width
   |> apply (int_param params "window") check_window
-  |> apply (str_param params "kernel") Run_flags.with_kernel_name
+  |> apply (str_param params "kernel") check_kernel
   |> apply (str_param params "order") Run_flags.with_order_name
   |> apply (int_param params "backtracks") Run_config.with_backtrack_limit
   |> apply (int_param params "retries") Run_config.with_retries
@@ -347,8 +359,7 @@ let handle_diagnose t params budget =
   let dkey = Store.dict_key ~setup_key:key ~tests_digest in
   let dict, dict_cached =
     Store.find_or_build_dict t.store dkey (fun () ->
-        Diagnosis.Dictionary.build ~jobs:cfg.Run_config.jobs
-          ~block_width:cfg.Run_config.block_width setup.Pipeline.faults tests)
+        Diagnosis.Dictionary.build ~jobs:cfg.Run_config.jobs setup.Pipeline.faults tests)
   in
   check_budget budget ~phase:"during dictionary build";
   let nt = Diagnosis.Dictionary.test_count dict in

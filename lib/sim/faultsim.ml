@@ -4,13 +4,6 @@ module Parallel = Util.Parallel
 module Trace = Util.Trace
 module Metrics = Util.Metrics
 
-type kernel = Event | Stem
-
-let kernel_name = function Event -> "event" | Stem -> "stem"
-let kernel_names = [ "event"; "stem" ]
-
-let kernel_of_string = function "event" -> Some Event | "stem" -> Some Stem | _ -> None
-
 (* A workspace simulates [width] consecutive 64-pattern blocks (one
    "superblock" of up to 512 patterns) per visit.  All hot per-node
    state lives in ONE flat Bigarray arena of [2 * n * width] unboxed
@@ -77,7 +70,6 @@ let workspace ?(width = 1) c =
     stat_goodsim_s = 0.0;
   }
 
-let width ws = ws.width
 let good_arena ws = Wordvec.create (Circuit.node_count ws.circuit * ws.width)
 
 (* Invalidate the observability memo; call once per new good-value
@@ -324,15 +316,14 @@ let propagate_core ?out ws ~gval n0 =
   ws.touched <- [];
   ws.sched_nodes <- []
 
-let detect_superblock ws ~good (f : Fault.t) =
+let detect_block ws ~good (f : Fault.t) =
   inject ws ~gval:good f;
   propagate_core ws ~gval:good (Fault.site_node f);
-  ws.det
+  ws.det.(0)
 
-let detect_block ws ~good f = (detect_superblock ws ~good f).(0)
-
-(* Per-output variant of {!detect_superblock}: the same sweep, so the
-   OR of the per-output words equals the detection words bit-for-bit. *)
+(* Per-output variant of {!detect_block} over the whole superblock: the
+   same sweep, so the OR of the per-output words equals the detection
+   words bit-for-bit. *)
 let detect_block_outputs ws ~good ~out (f : Fault.t) =
   Array.fill out 0 (Array.length out) 0L;
   inject ws ~gval:good f;
@@ -484,29 +475,16 @@ let detect_probe ws ~gval (f : Fault.t) =
     if !anyd then ws.stat_stem_detect_words <- ws.stat_stem_detect_words + 1
   end
 
-(* Fill [ws.det] with the fault's detection words for the current
-   superblock. *)
-let detect_with ws ~kernel ~gval f =
-  match kernel with
-  | Event ->
-      inject ws ~gval f;
-      propagate_core ws ~gval (Fault.site_node f)
-  | Stem -> detect_probe ws ~gval f
-
 (* --- whole-pattern-set drivers ------------------------------------ *)
 
 let superblocks nblocks width = (nblocks + width - 1) / width
 
-let sim_attrs kernel fl pats width =
-  [ ("kernel", Trace.Str (kernel_name kernel));
-    ("faults", Trace.Int (Fault_list.count fl));
-    ("patterns", Trace.Int (Patterns.count pats)); ("block_width", Trace.Int width) ]
-
-(* Kernel defaults preserve the historical behaviour: [detection_sets]
-   is plain per-fault event propagation on one lane and rides the stem
-   kernel on several; the dropping-family drivers stay event-driven
-   unless a kernel is requested. *)
-let auto_detection_kernel jobs = if jobs <= 1 then Event else Stem
+(* Wider superblocks amortise the levelised traversal over more
+   patterns but leave lanes idle when there are fewer blocks than
+   [jobs * width]: one superblock per lane, at most 8 words wide. *)
+let superblock_width ~jobs nblocks =
+  let jobs = max 1 jobs in
+  max 1 (min 8 ((nblocks + jobs - 1) / jobs))
 
 (* Detection sets have no cross-block dependency, so each of
    [min jobs nsb] lanes owns a static slice of the superblocks —
@@ -515,21 +493,21 @@ let auto_detection_kernel jobs = if jobs <= 1 then Event else Stem
    detection set.  Every (fault, block) word is computed by exactly one
    lane and its value depends only on (circuit, fault, block), so the
    result is bit-identical for any [jobs] regardless of scheduling. *)
-let detection_sets ?(jobs = 1) ?kernel ?(block_width = 1) fl pats =
-  if block_width < 1 then invalid_arg "Faultsim.detection_sets: block_width must be positive";
+let detection_sets ?(jobs = 1) fl pats =
   let jobs = max 1 jobs in
-  let kernel = match kernel with Some k -> k | None -> auto_detection_kernel jobs in
-  let width = block_width in
+  let nblocks = Patterns.blocks pats in
+  let width = superblock_width ~jobs nblocks in
   let tr = Trace.current () in
   let observed = Trace.enabled tr in
   Trace.span tr
-    ~attrs:(("jobs", Trace.Int jobs) :: sim_attrs kernel fl pats width)
+    ~attrs:
+      [ ("jobs", Trace.Int jobs); ("faults", Trace.Int (Fault_list.count fl));
+        ("patterns", Trace.Int (Patterns.count pats)); ("block_width", Trace.Int width) ]
     "faultsim.detection_sets"
   @@ fun () ->
   let c = Fault_list.circuit fl in
   let nf = Fault_list.count fl in
   let dsets = Array.init nf (fun _ -> Bitvec.create (Patterns.count pats)) in
-  let nblocks = Patterns.blocks pats in
   let nsb = superblocks nblocks width in
   let k = min jobs (max nsb 1) in
   let wss = Array.init k (fun _ -> workspace ~width c) in
@@ -544,7 +522,7 @@ let detection_sets ?(jobs = 1) ?kernel ?(block_width = 1) fl pats =
             let b0 = sb * width in
             let lim = min width (nblocks - b0) in
             for fi = 0 to nf - 1 do
-              detect_with ws ~kernel ~gval (Fault_list.get fl fi);
+              detect_probe ws ~gval (Fault_list.get fl fi);
               let det = ws.det in
               for w = 0 to lim - 1 do
                 let b = b0 + w in
@@ -563,80 +541,65 @@ let ndet dsets pats =
 
 type drop_result = { first_detection : int array; detected : int }
 
-(* The dropping family's one driver, serial: one workspace walks the
-   superblocks in order and, per superblock, the live faults in fault
-   order.  [absorb ~b0 ~lim fi det] folds fault [fi]'s detection words
-   ([det], the workspace scratch) into the caller's result and says
-   whether [fi] stays live.  Absorbing scans a superblock's words in
-   increasing block order, so every dropping decision matches the
-   width-1 scan. *)
-let drop_scan ~name ?(attrs = []) ~kernel ~width fl pats absorb =
+(* The dropping family's one driver, serial and one block wide: each
+   block's work depends on which faults the previous blocks dropped,
+   and wider superblocks lost to width 1 on every measured circuit.
+   One workspace walks the blocks in order and, per block, the live
+   faults in fault order.  [absorb ~b fi d] folds fault [fi]'s masked
+   detection word [d] of block [b] into the caller's result and says
+   whether [fi] stays live. *)
+let drop_scan ~name ?(attrs = []) fl pats absorb =
   let tr = Trace.current () in
   let observed = Trace.enabled tr in
-  Trace.span tr ~attrs:(attrs @ sim_attrs kernel fl pats width) name @@ fun () ->
-  let ws = workspace ~width (Fault_list.circuit fl) in
+  Trace.span tr
+    ~attrs:
+      (attrs
+      @ [ ("faults", Trace.Int (Fault_list.count fl));
+          ("patterns", Trace.Int (Patterns.count pats)) ])
+    name
+  @@ fun () ->
+  let ws = workspace (Fault_list.circuit fl) in
   let gval = good_arena ws in
   let alive = Array.init (Fault_list.count fl) Fun.id in
   let live = ref (Array.length alive) in
   let nblocks = Patterns.blocks pats in
-  let nsb = superblocks nblocks width in
-  let sb = ref 0 in
-  while !sb < nsb && !live > 0 do
-    timed_goodsim observed ws pats !sb gval;
+  let b = ref 0 in
+  while !b < nblocks && !live > 0 do
+    timed_goodsim observed ws pats !b gval;
     new_block ws;
-    let b0 = !sb * width in
-    let lim = min width (nblocks - b0) in
+    let mask = block_mask pats !b in
     let n = !live in
     live := 0;
     for i = 0 to n - 1 do
       let fi = alive.(i) in
-      detect_with ws ~kernel ~gval (Fault_list.get fl fi);
-      if absorb ~b0 ~lim fi ws.det then begin
+      detect_probe ws ~gval (Fault_list.get fl fi);
+      if absorb ~b:!b fi (Int64.logand ws.det.(0) mask) then begin
         alive.(!live) <- fi;
         incr live
       end
     done;
-    incr sb
+    incr b
   done;
   publish_stats tr [| ws |]
 
-(* First detecting pattern among words [0 .. lim-1] of the superblock
-   starting at block [b0], or -1. *)
-let first_in_words pats ~b0 ~lim det =
-  let rec go w =
-    if w >= lim then -1
-    else
-      let b = b0 + w in
-      let d = Int64.logand det.(w) (block_mask pats b) in
-      if d = 0L then go (w + 1) else (b * 64) + Bitvec.ctz d
-  in
-  go 0
-
-let with_dropping ?(kernel = Event) ?(block_width = 1) fl pats =
-  if block_width < 1 then invalid_arg "Faultsim.with_dropping: block_width must be positive";
+let with_dropping fl pats =
   let first = Array.make (Fault_list.count fl) (-1) in
   let detected = ref 0 in
-  drop_scan ~name:"faultsim.with_dropping" ~kernel ~width:block_width fl pats
-    (fun ~b0 ~lim fi det ->
-      let p = first_in_words pats ~b0 ~lim det in
-      p < 0
+  drop_scan ~name:"faultsim.with_dropping" fl pats (fun ~b fi d ->
+      d = 0L
       || begin
-           first.(fi) <- p;
+           first.(fi) <- (b * 64) + Bitvec.ctz d;
            incr detected;
            false
          end);
   { first_detection = first; detected = !detected }
 
-let n_detection ?(kernel = Event) ?(block_width = 1) fl pats ~n =
+let n_detection fl pats ~n =
   if n <= 0 then invalid_arg "Faultsim.n_detection: n must be positive";
-  if block_width < 1 then invalid_arg "Faultsim.n_detection: block_width must be positive";
   let counts = Array.make (Fault_list.count fl) 0 in
-  drop_scan ~name:"faultsim.n_detection" ~attrs:[ ("n", Trace.Int n) ] ~kernel
-    ~width:block_width fl pats (fun ~b0 ~lim fi det ->
-      for w = 0 to lim - 1 do
-        let d = Int64.logand det.(w) (block_mask pats (b0 + w)) in
-        if d <> 0L then counts.(fi) <- min n (counts.(fi) + Bitvec.popcount_word d)
-      done;
+  drop_scan ~name:"faultsim.n_detection" ~attrs:[ ("n", Trace.Int n) ] fl pats
+    (fun ~b:_ fi d ->
+      counts.(fi) <- min n (counts.(fi) + Bitvec.popcount_word d);
       counts.(fi) < n);
   counts
 
@@ -651,20 +614,14 @@ let keep_capped counts fi ~n d =
   done;
   !kept
 
-let detection_sets_capped ?(kernel = Event) ?(block_width = 1) fl pats ~n =
+let detection_sets_capped fl pats ~n =
   if n <= 0 then invalid_arg "Faultsim.detection_sets_capped: n must be positive";
-  if block_width < 1 then
-    invalid_arg "Faultsim.detection_sets_capped: block_width must be positive";
   let nf = Fault_list.count fl in
   let dsets = Array.init nf (fun _ -> Bitvec.create (Patterns.count pats)) in
   let counts = Array.make nf 0 in
-  drop_scan ~name:"faultsim.detection_sets_capped" ~attrs:[ ("n", Trace.Int n) ] ~kernel
-    ~width:block_width fl pats (fun ~b0 ~lim fi det ->
-      for w = 0 to lim - 1 do
-        let b = b0 + w in
-        let d = Int64.logand det.(w) (block_mask pats b) in
-        if d <> 0L then (Bitvec.words dsets.(fi)).(b) <- keep_capped counts fi ~n d
-      done;
+  drop_scan ~name:"faultsim.detection_sets_capped" ~attrs:[ ("n", Trace.Int n) ] fl pats
+    (fun ~b fi d ->
+      if d <> 0L then (Bitvec.words dsets.(fi)).(b) <- keep_capped counts fi ~n d;
       counts.(fi) < n);
   dsets
 

@@ -3,20 +3,26 @@
     The engine is parallel-pattern single-fault propagation (PPSFP): a
     {e superblock} of [width] consecutive 64-pattern blocks (64 to 512
     patterns) is simulated fault-free per pass, then per-fault
-    detection words are derived by one of two kernels:
+    detection words are derived.  Two ways of deriving them exist:
 
-    - {b event} — inject each fault and propagate its effect
+    - {b event propagation} — inject the fault and propagate its effect
       event-driven through the levelised fanout cone, comparing
-      against the good values at the primary outputs.  The reference
-      kernel.
-    - {b stem} — probe decomposition: each lane is an independent
-      scalar simulation, so
-      [D(f) = activation(f) AND obs(site_node f)], where [obs(n)] is
-      the word of lanes in which complementing [n] changes some
-      output.  Observability is memoised per superblock and per site
-      ("probe"), shared by every fault injecting at that site; chains
-      of single-consumer nodes pay a local gate re-evaluation each,
-      and only multi-fanout stems pay a real propagation.
+      against the good values at the primary outputs.  It serves the
+      single-fault entry points ({!detect_block}, the ATPG engine's hot
+      path, and {!detect_block_outputs}, the dictionary's per-output
+      kernel) and the stem probes below.
+    - {b stem probing} — every lane is an independent scalar
+      simulation, so [D(f) = activation(f) AND obs(site_node f)],
+      where [obs(n)] is the word of lanes in which complementing [n]
+      changes some output.  Observability is memoised per superblock
+      and per site ("probe"), shared by every fault injecting at that
+      site; chains of single-consumer nodes pay a local gate
+      re-evaluation each, and only multi-fanout stems pay a real
+      event propagation.  Every whole-set driver below uses it.
+
+    Both give {e bit-identical} detection words for every fault; the
+    event path stays the independent check of the stem path in the
+    tests.
 
     {b Wide blocks.}  All hot per-node state (faulty values and the
     observability memo) lives in one flat {!Util.Wordvec} Bigarray
@@ -25,16 +31,11 @@
     computed by exactly the width-1 formula, so detection words are
     bit-identical for every width — wider lanes only amortise the
     levelised traversal, event scheduling and per-fault dispatch over
-    more patterns.  Drivers take [?block_width] (1, accepted widths
-    are small powers of two up to 8 at the CLI) and scan a
-    superblock's words in increasing block order, so fault dropping,
-    n-detection capping and first-detection indices also match the
-    narrow scan exactly.
-
-    Both kernels produce {e bit-identical} detection words for
-    every fault; they differ only in work per word.  Observability
-    counters ({!sim_stats}) are advisory and may differ across widths
-    (memo short-circuits fire per superblock rather than per block).
+    more patterns.  That identity is why no caller picks the width:
+    {!detection_sets} derives it with {!superblock_width}, and the
+    dropping family runs one block at a time.  Observability counters
+    ({!sim_stats}) are advisory and may differ across widths (memo
+    short-circuits fire per superblock rather than per block).
 
     There is one driver per mode.  {!detection_sets} takes [?jobs]
     (default 1): each of [min jobs superblocks] lanes owns a private
@@ -43,19 +44,11 @@
     by exactly one lane, so results are bit-identical for every [jobs]
     regardless of scheduling.  The dropping family ({!with_dropping},
     {!n_detection}, {!detection_sets_capped}) is serial: one workspace
-    scans the live faults superblock by superblock, because dropping
-    makes each superblock's work depend on the previous one and the
-    fault-sliced scan lost to one lane on 2 cores.
+    scans the live faults block by block, because dropping makes each
+    block's work depend on the previous one and both the fault-sliced
+    scan and wider blocks lost to one narrow lane.
 
     All entry points require a combinational circuit. *)
-
-type kernel =
-  | Event  (** per-fault event-driven propagation *)
-  | Stem  (** memoised site-probe observability, full stem propagation *)
-
-val kernel_name : kernel -> string
-val kernel_names : string list
-val kernel_of_string : string -> kernel option
 
 type workspace
 (** Reusable scratch state (the faulty-value / observability-memo
@@ -65,8 +58,6 @@ type workspace
 val workspace : ?width:int -> Circuit.t -> workspace
 (** [workspace ?width c] allocates a workspace simulating [width]
     64-pattern blocks per pass (default 1). *)
-
-val width : workspace -> int
 
 val good_arena : workspace -> Util.Wordvec.t
 (** A fresh good-value arena of [node_count * width] words, sized for
@@ -124,19 +115,17 @@ val publish_stats : Util.Trace.t -> workspace array -> unit
 
 (** {1 Whole-pattern-set drivers}
 
-    When [?kernel] is omitted the historical defaults apply:
-    [detection_sets] auto-selects (event when [jobs <= 1], stem
-    otherwise); the dropping-family drivers run event-driven.
-    [?block_width] (default 1) sets the superblock width; results are
-    bit-identical for every (kernel, jobs, block_width) combination. *)
+    Every driver uses stem probing and returns the same words as
+    per-fault event propagation at width 1. *)
 
-val detection_sets :
-  ?jobs:int ->
-  ?kernel:kernel ->
-  ?block_width:int ->
-  Fault_list.t ->
-  Patterns.t ->
-  Util.Bitvec.t array
+val superblock_width : jobs:int -> int -> int
+(** [superblock_width ~jobs blocks] is the superblock width
+    {!detection_sets} uses for [blocks] 64-pattern blocks over [jobs]
+    lanes: [min 8 (ceil (blocks / jobs))], at least 1 — one superblock
+    per lane while that fits in 8 words.  [jobs] below 1 counts as 1.
+    [Diagnosis.Dictionary.build] uses the same rule. *)
+
+val detection_sets : ?jobs:int -> Fault_list.t -> Patterns.t -> Util.Bitvec.t array
 (** Simulation {e without fault dropping}: for every fault [f] the full
     detection set [D(f)] over all patterns — the input the accidental
     detection index is computed from. *)
@@ -151,30 +140,17 @@ type drop_result = {
   detected : int;  (** number of detected faults *)
 }
 
-val with_dropping :
-  ?kernel:kernel -> ?block_width:int -> Fault_list.t -> Patterns.t -> drop_result
+val with_dropping : Fault_list.t -> Patterns.t -> drop_result
 (** Simulation with fault dropping: each fault is removed from
     consideration after its first detection. *)
 
-val n_detection :
-  ?kernel:kernel ->
-  ?block_width:int ->
-  Fault_list.t ->
-  Patterns.t ->
-  n:int ->
-  int array
+val n_detection : Fault_list.t -> Patterns.t -> n:int -> int array
 (** n-detection simulation: per fault, the number of detecting patterns
     seen, counting at most [n] (a fault is dropped after its [n]-th
     detection).  [n_detection fl pats ~n:1] counts like
     {!with_dropping}. *)
 
-val detection_sets_capped :
-  ?kernel:kernel ->
-  ?block_width:int ->
-  Fault_list.t ->
-  Patterns.t ->
-  n:int ->
-  Util.Bitvec.t array
+val detection_sets_capped : Fault_list.t -> Patterns.t -> n:int -> Util.Bitvec.t array
 (** n-detection variant of {!detection_sets}: each fault's detection
     set records at most its [n] earliest detecting patterns (the fault
     is dropped afterwards).  The paper's cheaper alternative for

@@ -509,47 +509,6 @@ let dalg_c17_all_testable () =
   done
 
 
-(* --- transition faults ---------------------------------------------- *)
-
-let transition_pairs_valid =
-  QCheck.Test.make ~name:"generated transition pairs detect their fault" ~count:15
-    arb_circuit
-  @@ fun c ->
-  let scoap = Scoap.compute c in
-  let faults = Transition.all_faults c in
-  let ok = ref true in
-  Array.iter
-    (fun f ->
-      match Transition.generate c scoap f with
-      | Transition.Pair (v1, v2) -> if not (Transition.detects c f ~v1 ~v2) then ok := false
-      | Transition.Untestable | Transition.Aborted -> ())
-    faults;
-  !ok
-
-let transition_run_on_c17 () =
-  let r = Transition.run (Library.c17 ()) in
-  (* c17 is fully transition-testable. *)
-  check Alcotest.int "no aborts" 0 r.Transition.aborted;
-  check (Alcotest.float 1e-9) "full coverage" 1.0 (Transition.coverage r);
-  check Alcotest.bool "accounting" true
-    (r.Transition.detected + r.Transition.untestable = r.Transition.total)
-
-let transition_detects_semantics () =
-  (* Buffer wire: slow-to-rise needs v1 = 0, v2 = 1. *)
-  let b = B.create () in
-  let a = B.input b "a" in
-  let g = B.gate b Gate.Buf "g" [ a ] in
-  B.mark_output b g;
-  let c = B.finish b in
-  let f = { Transition.node = g; rising = true } in
-  check Alcotest.bool "0 -> 1 detects" true
-    (Transition.detects c f ~v1:[| false |] ~v2:[| true |]);
-  check Alcotest.bool "1 -> 1 misses" false
-    (Transition.detects c f ~v1:[| true |] ~v2:[| true |]);
-  check Alcotest.bool "0 -> 0 misses" false
-    (Transition.detects c f ~v1:[| false |] ~v2:[| false |])
-
-
 let compacting_engine_sound =
   QCheck.Test.make ~name:"dynamic compaction keeps coverage, each test detects its target"
     ~count:10 arb_circuit
@@ -634,12 +593,6 @@ let () =
           qtest dalg_cube_detects;
           qtest dalg_untestable_is_really_untestable;
           qtest dalg_agrees_with_podem;
-        ] );
-      ( "transition",
-        [
-          Alcotest.test_case "semantics" `Quick transition_detects_semantics;
-          Alcotest.test_case "c17 run" `Quick transition_run_on_c17;
-          qtest transition_pairs_valid;
         ] );
       ( "irredundant",
         [

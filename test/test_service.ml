@@ -362,6 +362,29 @@ let atpg_window_param () =
        (Session.handle t
           (Protocol.single ~id:2 "atpg" (order_params @ [ ("window", Json.Int 0) ]))))
 
+let ignored_simulation_params () =
+  (* Fault simulation no longer takes a kernel or a block width, but
+     clients still send both: a valid value is accepted and changes no
+     byte of the reply, an invalid one is the same E-flag as before. *)
+  let reply params =
+    let t = Session.create ~capacity:4 () in
+    reply_string t (Protocol.single "order" (order_params @ params))
+  in
+  check Alcotest.string "kernel and block_width change nothing" (reply [])
+    (reply [ ("kernel", Json.Str "event"); ("block_width", Json.Int 8) ]);
+  let t = Session.create ~capacity:4 () in
+  let rejected what params message =
+    match (Session.handle t (Protocol.single "load" (order_params @ params))).Protocol.payload with
+    | Error e ->
+        check Alcotest.string (what ^ " code") "E-flag" e.Protocol.code;
+        check Alcotest.string (what ^ " message") message e.Protocol.message
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  rejected "block_width 3" [ ("block_width", Json.Int 3) ]
+    "--block-width must be 1, 2, 4 or 8 (got 3)";
+  rejected "kernel warp" [ ("kernel", Json.Str "warp") ]
+    "unknown fault-simulation kernel \"warp\" (expected event or stem)"
+
 let stats_report_spec_counters () =
   let t = Session.create ~capacity:4 () in
   ignore
@@ -528,6 +551,7 @@ let () =
           Alcotest.test_case "jobs and offline order agree" `Quick replies_match_offline_pipeline;
           Alcotest.test_case "offline atpg agrees" `Quick atpg_matches_offline_pipeline;
           Alcotest.test_case "atpg window param" `Quick atpg_window_param;
+          Alcotest.test_case "kernel and block_width ignored" `Quick ignored_simulation_params;
           Alcotest.test_case "stats report spec counters" `Quick stats_report_spec_counters;
           Alcotest.test_case "atpg reply bytes pinned" `Quick atpg_reply_bytes_pinned ] );
       ( "server",

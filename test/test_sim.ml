@@ -1,6 +1,7 @@
 (* Tests for pattern sets and the simulators.  The load-bearing
-   property: the event-driven bit-parallel fault simulator agrees with
-   the naive full-re-evaluation oracle on every fault and pattern. *)
+   properties: every fault-simulation driver and the engine's
+   event-driven single-fault path agree with the naive
+   full-re-evaluation oracle on every fault and pattern. *)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -243,25 +244,14 @@ let capped_sets_are_prefixes =
   !ok
 
 
-(* --- pool sizes and lane widths ------------------------------------ *)
+(* --- the event path, jobs and superblock widths ---------------------- *)
 
 (* CI runs the suite under ADI_JOBS=1 and ADI_JOBS=4; the parity
-   properties below compare that pool size against one lane. *)
+   properties below compare that lane count against one lane. *)
 let env_jobs =
   match Sys.getenv_opt "ADI_JOBS" with
   | Some s -> ( match int_of_string_opt s with Some j when j >= 1 -> j | _ -> 4)
   | None -> 4
-
-(* CI sweeps ADI_BLOCK_WIDTH (with ADI_JOBS); the parity properties
-   below compare that lane width — and the narrower ones — against
-   the event kernel at width 1. *)
-let env_width =
-  match Sys.getenv_opt "ADI_BLOCK_WIDTH" with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some w when List.mem w [ 1; 2; 4; 8 ] -> w
-      | _ -> 8)
-  | None -> 8
 
 let words_equal a b =
   Array.length a = Array.length b
@@ -269,6 +259,44 @@ let words_equal a b =
        (fun (x : Bitvec.t) y ->
          Bitvec.length x = Bitvec.length y && Bitvec.words x = Bitvec.words y)
        a b
+
+(* Detection sets from the engine's single-fault event path:
+   [detect_block] on a width-1 workspace, one block at a time. *)
+let event_sets fl pats =
+  let ws = Faultsim.workspace (Fault_list.circuit fl) in
+  let good = Faultsim.good_arena ws in
+  let cnt = Patterns.count pats in
+  let sets = Array.init (Fault_list.count fl) (fun _ -> Bitvec.create cnt) in
+  for b = 0 to Patterns.blocks pats - 1 do
+    Faultsim.load_good ws good pats b;
+    Array.iteri
+      (fun fi set ->
+        let d = Faultsim.detect_block ws ~good (Fault_list.get fl fi) in
+        for j = 0 to min 63 (cnt - (b * 64) - 1) do
+          if Int64.logand (Int64.shift_right_logical d j) 1L = 1L then
+            Bitvec.set set ((b * 64) + j) true
+        done)
+      sets
+  done;
+  sets
+
+let oracle_sets fl pats =
+  Array.map
+    (fun row ->
+      let b = Bitvec.create (Array.length row) in
+      Array.iteri (fun p hit -> if hit then Bitvec.set b p true) row;
+      b)
+    (Refsim.detection_table fl pats)
+
+let detect_block_matches_oracle =
+  QCheck.Test.make ~name:"detect_block (event path) = naive oracle" ~count:20 arb_circuit
+  @@ fun c ->
+  let n_inputs = Array.length (Circuit.inputs c) in
+  let rng = Rng.create 61 in
+  let pats = Patterns.random rng ~n_inputs ~count:150 in
+  List.for_all
+    (fun fl -> words_equal (oracle_sets fl pats) (event_sets fl pats))
+    [ Collapse.collapsed c; Fault_list.full c ]
 
 let parallel_detection_sets_identical =
   QCheck.Test.make
@@ -281,176 +309,71 @@ let parallel_detection_sets_identical =
   let pats = Patterns.random rng ~n_inputs ~count:150 in
   words_equal (Faultsim.detection_sets fl pats) (Faultsim.detection_sets ~jobs:env_jobs fl pats)
 
-(* --- kernel parity ------------------------------------------------- *)
+let superblock_width_rule () =
+  List.iter
+    (fun (jobs, blocks, w) ->
+      check Alcotest.int
+        (Printf.sprintf "jobs %d, %d blocks" jobs blocks)
+        w
+        (Faultsim.superblock_width ~jobs blocks))
+    [ (1, 0, 1); (1, 1, 1); (1, 3, 3); (1, 7, 7); (1, 8, 8); (1, 10, 8); (1, 64, 8);
+      (2, 1, 1); (2, 7, 4); (2, 16, 8); (2, 64, 8); (4, 3, 1); (4, 10, 3); (0, 5, 5) ]
 
-(* The stem kernel is a pure work-saving transformation of the
-   event-driven reference: every kernel x collapsing mode x pool size
-   must produce the same detection words, byte for byte. *)
-let kernels = [ Faultsim.Event; Faultsim.Stem ]
-
-let kernel_detection_sets_identical =
+(* Every driver against the naive oracle: the expected detection sets,
+   first detections, n-capped counts and n-capped sets are all derived
+   from Refsim's detection table.  64, 160 and 600 patterns make
+   detection_sets derive widths 1, 3 and 8 at one lane (600 patterns
+   end in a partial superblock of 2 blocks) and 1, 1 and 3 at four;
+   the dropping family scans one block at a time.  One vector
+   repeated over the first block pushes most first and n-th
+   detections into later blocks (the last one partial). *)
+let drivers_match_oracle =
   QCheck.Test.make
-    ~name:(Printf.sprintf "detection_sets kernels x jobs 1/%d are byte-identical" env_jobs)
-    ~count:20 arb_circuit
-  @@ fun c ->
-  let n_inputs = Array.length (Circuit.inputs c) in
-  List.for_all
-    (fun fl ->
-      let rng = Rng.create 71 in
-      let pats = Patterns.random rng ~n_inputs ~count:150 in
-      let reference = Faultsim.detection_sets ~kernel:Faultsim.Event fl pats in
-      List.for_all
-        (fun k ->
-          words_equal reference (Faultsim.detection_sets ~kernel:k fl pats)
-          && words_equal reference (Faultsim.detection_sets ~jobs:env_jobs ~kernel:k fl pats))
-        kernels)
-    [ Collapse.collapsed c; Fault_list.full c ]
-
-let kernel_dropping_family_identical =
-  QCheck.Test.make
-    ~name:"with_dropping/n_detection/capped kernels are byte-identical" ~count:15 arb_circuit
-  @@ fun c ->
-  let fl = Collapse.collapsed c in
-  let n_inputs = Array.length (Circuit.inputs c) in
-  let rng = Rng.create 73 in
-  let pats = Patterns.random rng ~n_inputs ~count:150 in
-  let drop0 = Faultsim.with_dropping fl pats in
-  let nd0 = Faultsim.n_detection fl pats ~n:3 in
-  let cap0 = Faultsim.detection_sets_capped fl pats ~n:3 in
-  List.for_all
-    (fun k ->
-      drop0 = Faultsim.with_dropping ~kernel:k fl pats
-      && nd0 = Faultsim.n_detection ~kernel:k fl pats ~n:3
-      && words_equal cap0 (Faultsim.detection_sets_capped ~kernel:k fl pats ~n:3))
-    kernels
-
-(* Every driver under each kernel and lane width {1, ADI_BLOCK_WIDTH}
-   (detection sets also at jobs {1, ADI_JOBS}) against the naive
-   oracle: the expected detection sets, first detections, n-capped
-   counts and n-capped sets are all derived from Refsim's detection
-   table, so the dropping family is checked against an independent
-   implementation too. *)
-let kernel_matches_oracle =
-  QCheck.Test.make ~name:"every driver x kernel = naive oracle" ~count:15 arb_circuit
-  @@ fun c ->
-  let fl = Collapse.collapsed c in
-  let n_inputs = Array.length (Circuit.inputs c) in
-  let rng = Rng.create 79 in
-  (* One vector repeated over the first block pushes most first and
-     n-th detections into later blocks (the last one partial). *)
-  let v = Array.init n_inputs (fun _ -> Rng.bool rng) in
-  let pats =
-    Patterns.concat
-      (Patterns.of_vectors ~n_inputs (Array.make 64 v))
-      (Patterns.random rng ~n_inputs ~count:96)
-  in
-  let cnt = Patterns.count pats in
-  let n = 3 in
-  (* Per fault, its detecting patterns in increasing order. *)
-  let hits =
-    Array.map
-      (fun row -> List.filter (fun p -> row.(p)) (List.init cnt Fun.id))
-      (Refsim.detection_table fl pats)
-  in
-  let set_of ps =
-    let b = Bitvec.create cnt in
-    List.iter (fun p -> Bitvec.set b p true) ps;
-    b
-  in
-  let sets = Array.map set_of hits in
-  let drop =
-    { Faultsim.first_detection = Array.map (function [] -> -1 | p :: _ -> p) hits;
-      detected = Array.fold_left (fun a ps -> if ps = [] then a else a + 1) 0 hits }
-  in
-  let counts = Array.map (fun ps -> min n (List.length ps)) hits in
-  let capped = Array.map (fun ps -> set_of (List.filteri (fun i _ -> i < n) ps)) hits in
-  List.for_all
-    (fun kernel ->
-      List.for_all
-        (fun block_width ->
-          List.for_all
-            (fun jobs ->
-              words_equal sets (Faultsim.detection_sets ~jobs ~kernel ~block_width fl pats))
-            (List.sort_uniq compare [ 1; env_jobs ])
-          && Faultsim.with_dropping ~kernel ~block_width fl pats = drop
-          && Faultsim.n_detection ~kernel ~block_width fl pats ~n = counts
-          && words_equal capped (Faultsim.detection_sets_capped ~kernel ~block_width fl pats ~n))
-        (List.sort_uniq compare [ 1; env_width ]))
-    kernels
-
-(* --- wide superblocks ---------------------------------------------- *)
-
-let widths = List.sort_uniq compare [ 2; 4; env_width ]
-
-let block_width_detection_sets_identical =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "detection_sets kernels x jobs 1/%d x widths %s = event w1"
-         env_jobs
-         (String.concat "/" (List.map string_of_int widths)))
+    ~name:(Printf.sprintf "every driver at jobs 1/%d = naive oracle" env_jobs)
     ~count:15 arb_circuit
   @@ fun c ->
   let n_inputs = Array.length (Circuit.inputs c) in
+  let rng = Rng.create 79 in
+  let n = 3 in
   List.for_all
-    (fun fl ->
-      let rng = Rng.create 83 in
-      let pats = Patterns.random rng ~n_inputs ~count:150 in
-      let reference = Faultsim.detection_sets ~kernel:Faultsim.Event fl pats in
+    (fun cnt ->
+      let v = Array.init n_inputs (fun _ -> Rng.bool rng) in
+      let pats =
+        if cnt <= 64 then Patterns.random rng ~n_inputs ~count:cnt
+        else
+          Patterns.concat
+            (Patterns.of_vectors ~n_inputs (Array.make 64 v))
+            (Patterns.random rng ~n_inputs ~count:(cnt - 64))
+      in
       List.for_all
-        (fun k ->
+        (fun fl ->
+          (* Per fault, its detecting patterns in increasing order. *)
+          let hits =
+            Array.map
+              (fun row -> List.filter (fun p -> row.(p)) (List.init cnt Fun.id))
+              (Refsim.detection_table fl pats)
+          in
+          let set_of ps =
+            let b = Bitvec.create cnt in
+            List.iter (fun p -> Bitvec.set b p true) ps;
+            b
+          in
+          let drop =
+            { Faultsim.first_detection = Array.map (function [] -> -1 | p :: _ -> p) hits;
+              detected = Array.fold_left (fun a ps -> if ps = [] then a else a + 1) 0 hits }
+          in
+          let counts = Array.map (fun ps -> min n (List.length ps)) hits in
+          let capped = Array.map (fun ps -> set_of (List.filteri (fun i _ -> i < n) ps)) hits in
           List.for_all
-            (fun w ->
-              words_equal reference
-                (Faultsim.detection_sets ~kernel:k ~block_width:w fl pats)
-              && words_equal reference
-                   (Faultsim.detection_sets ~jobs:env_jobs ~kernel:k ~block_width:w
-                      fl pats))
-            widths)
-        kernels)
-    [ Collapse.collapsed c; Fault_list.full c ]
+            (fun jobs -> words_equal (Array.map set_of hits) (Faultsim.detection_sets ~jobs fl pats))
+            (List.sort_uniq compare [ 1; env_jobs ])
+          && Faultsim.with_dropping fl pats = drop
+          && Faultsim.n_detection fl pats ~n = counts
+          && words_equal capped (Faultsim.detection_sets_capped fl pats ~n))
+        [ Collapse.collapsed c; Fault_list.full c ])
+    [ 64; 160; 600 ]
 
-let block_width_dropping_family_identical =
-  QCheck.Test.make
-    ~name:"with_dropping/n_detection/capped widths are byte-identical" ~count:10
-    arb_circuit
-  @@ fun c ->
-  let fl = Collapse.collapsed c in
-  let n_inputs = Array.length (Circuit.inputs c) in
-  let rng = Rng.create 89 in
-  let pats = Patterns.random rng ~n_inputs ~count:150 in
-  let drop0 = Faultsim.with_dropping fl pats in
-  let nd0 = Faultsim.n_detection fl pats ~n:3 in
-  let cap0 = Faultsim.detection_sets_capped fl pats ~n:3 in
-  List.for_all
-    (fun k ->
-      List.for_all
-        (fun w ->
-          drop0 = Faultsim.with_dropping ~kernel:k ~block_width:w fl pats
-          && nd0 = Faultsim.n_detection ~kernel:k ~block_width:w fl pats ~n:3
-          && words_equal cap0
-               (Faultsim.detection_sets_capped ~kernel:k ~block_width:w fl pats ~n:3))
-        widths)
-    kernels
-
-let wide_matches_oracle =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "stem kernel at width %d = naive oracle" env_width)
-    ~count:10 arb_circuit
-  @@ fun c ->
-  let fl = Collapse.collapsed c in
-  let n_inputs = Array.length (Circuit.inputs c) in
-  let rng = Rng.create 97 in
-  let pats = Patterns.random rng ~n_inputs ~count:80 in
-  let slow = Refsim.detection_table fl pats in
-  let fast =
-    Faultsim.detection_sets ~kernel:Faultsim.Stem ~block_width:env_width fl pats
-  in
-  let ok = ref true in
-  Array.iteri
-    (fun fi d ->
-      Array.iteri (fun p expect -> if Bitvec.get d p <> expect then ok := false) slow.(fi))
-    fast;
-  !ok
+(* --- wide superblocks ---------------------------------------------- *)
 
 let block_outputs_width_identical =
   QCheck.Test.make
@@ -460,43 +383,32 @@ let block_outputs_width_identical =
   let fl = Collapse.collapsed c in
   let n_inputs = Array.length (Circuit.inputs c) in
   let rng = Rng.create 101 in
-  let pats = Patterns.random rng ~n_inputs ~count:(64 * env_width) in
   let nout = Array.length (Circuit.outputs c) in
   let narrow = Faultsim.workspace c in
-  let wide = Faultsim.workspace ~width:env_width c in
   let g1 = Faultsim.good_arena narrow in
-  let gw = Faultsim.good_arena wide in
-  Faultsim.load_good wide gw pats 0;
   let ok = ref true in
-  for fi = 0 to Fault_list.count fl - 1 do
-    let f = Fault_list.get fl fi in
-    let out_w = Array.make (nout * env_width) 0L in
-    let det_w = Array.copy (Faultsim.detect_block_outputs wide ~good:gw ~out:out_w f) in
-    for b = 0 to env_width - 1 do
-      Faultsim.load_good narrow g1 pats b;
-      let out_1 = Array.make nout 0L in
-      let det_1 = Faultsim.detect_block_outputs narrow ~good:g1 ~out:out_1 f in
-      if det_1.(0) <> det_w.(b) then ok := false;
-      for oi = 0 to nout - 1 do
-        if out_1.(oi) <> out_w.((oi * env_width) + b) then ok := false
-      done
-    done
-  done;
-  !ok
-
-let kernel_names_roundtrip () =
   List.iter
-    (fun k ->
-      check Alcotest.bool "roundtrip" true
-        (Faultsim.kernel_of_string (Faultsim.kernel_name k) = Some k))
-    kernels;
-  check Alcotest.bool "unknown rejected" true (Faultsim.kernel_of_string "warp" = None);
-  check
-    Alcotest.(list string)
-    "names" [ "event"; "stem" ]
-    (List.map Faultsim.kernel_name kernels);
-  check Alcotest.(list string) "kernel_names" Faultsim.kernel_names
-    (List.map Faultsim.kernel_name kernels)
+    (fun width ->
+      let pats = Patterns.random rng ~n_inputs ~count:(64 * width) in
+      let wide = Faultsim.workspace ~width c in
+      let gw = Faultsim.good_arena wide in
+      Faultsim.load_good wide gw pats 0;
+      for fi = 0 to Fault_list.count fl - 1 do
+        let f = Fault_list.get fl fi in
+        let out_w = Array.make (nout * width) 0L in
+        let det_w = Array.copy (Faultsim.detect_block_outputs wide ~good:gw ~out:out_w f) in
+        for b = 0 to width - 1 do
+          Faultsim.load_good narrow g1 pats b;
+          let out_1 = Array.make nout 0L in
+          let det_1 = Faultsim.detect_block_outputs narrow ~good:g1 ~out:out_1 f in
+          if det_1.(0) <> det_w.(b) then ok := false;
+          for oi = 0 to nout - 1 do
+            if out_1.(oi) <> out_w.((oi * width) + b) then ok := false
+          done
+        done
+      done)
+    [ 3; 8 ];
+  !ok
 
 (* --- deductive simulation ------------------------------------------ *)
 
@@ -508,7 +420,7 @@ let deductive_matches_event_driven =
   let n_inputs = Array.length (Circuit.inputs c) in
   let rng = Rng.create 47 in
   let pats = Patterns.random rng ~n_inputs ~count:40 in
-  let a = Faultsim.detection_sets fl pats in
+  let a = event_sets fl pats in
   let b = Deductive.detection_sets fl pats in
   let ok = ref true in
   Array.iteri (fun fi d -> if not (Bitvec.equal d b.(fi)) then ok := false) a;
@@ -559,15 +471,11 @@ let () =
           qtest capped_sets_are_prefixes;
           qtest detects_single;
           qtest parallel_detection_sets_identical;
-          qtest kernel_detection_sets_identical;
-          qtest kernel_dropping_family_identical;
-          qtest kernel_matches_oracle;
+          Alcotest.test_case "superblock width rule" `Quick superblock_width_rule;
+          qtest detect_block_matches_oracle;
+          qtest drivers_match_oracle;
           qtest deductive_matches_event_driven;
-          qtest block_width_detection_sets_identical;
-          qtest block_width_dropping_family_identical;
           qtest block_outputs_width_identical;
-          Alcotest.test_case "kernel names roundtrip" `Quick kernel_names_roundtrip;
-          qtest wide_matches_oracle;
           qtest deductive_full_universe;
         ] );
     ]
