@@ -539,8 +539,7 @@ let run_kernels () =
   let setup = Pipeline.prepare cfg c in
   Printf.printf "ATPG phase (%s, order %s):\n%!" name (Ordering.to_string cfg.Run_config.order);
   let r, t_atpg =
-    time (fun () ->
-        Pipeline.run_order_with (Run_config.engine_config cfg) setup cfg.Run_config.order)
+    time (fun () -> Pipeline.run_order setup cfg.Run_config.order)
   in
   let e = r.Pipeline.engine in
   let ntests = Patterns.count e.Engine.tests in

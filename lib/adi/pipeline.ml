@@ -55,7 +55,7 @@ let prepare config circuit =
 
 type run = { kind : Ordering.kind; order : int array; engine : Engine.result }
 
-let run_order_with config setup kind =
+let run_order setup kind =
   let tr = Trace.current () in
   let kind_attr = [ ("order", Trace.Str (Ordering.to_string kind)) ] in
   let order =
@@ -64,10 +64,8 @@ let run_order_with config setup kind =
   in
   let engine =
     Trace.span tr ~attrs:kind_attr "pipeline.engine" (fun () ->
-        Engine.run ~config setup.faults ~order)
+        Engine.run ~config:(Run_config.engine_config setup.config) setup.faults ~order)
   in
   { kind; order; engine }
-
-let run_order setup kind = run_order_with (Run_config.engine_config setup.config) setup kind
 
 let test_count run = Patterns.count run.engine.Engine.tests

@@ -41,9 +41,4 @@ val run_order : setup -> Ordering.kind -> run
     orders differ only in the fault sequence, as in the paper's
     comparison. *)
 
-val run_order_with : Engine.config -> setup -> Ordering.kind -> run
-(** @deprecated Explicit engine-config override, kept for callers of
-    the old [?config] parameter.  Prefer building the right
-    {!Run_config.t} up front. *)
-
 val test_count : run -> int

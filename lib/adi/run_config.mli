@@ -2,7 +2,7 @@
 
     Historically each layer grew its own argument pile —
     [Pipeline.prepare ?seed ?pool ?target_coverage ?jobs],
-    [Engine.config], [Harness.run_atpg]'s nine optionals, and ad-hoc
+    [Engine.config], the experiment harness's nine optionals, and ad-hoc
     flag parsing in the CLI and bench driver.  A [Run_config.t] carries
     all of it: the CLI, the bench driver, the harness and the examples
     all build one value (via {!default} and the [with_*] builders, or

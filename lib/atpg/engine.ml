@@ -20,16 +20,6 @@ let default_config =
     per_fault_budget_s = None;
   }
 
-(* Every entry point owns one fault-simulation workspace.  A test's
-   drop scan is one pattern wide, so it is a plain loop over the
-   faults: [load_test] fills the good values once per test, then
-   [detects] asks about one fault. *)
-let load_test ws good ~n_inputs vec =
-  Faultsim.load_good ws good (Patterns.of_vectors ~n_inputs [| vec |]) 0
-
-let detects ws ~good fl fi =
-  Int64.logand (Faultsim.detect_block ws ~good (Fault_list.get fl fi)) 1L = 1L
-
 type snapshot = {
   snap_pass : int;
   snap_schedule : int array;
@@ -97,8 +87,11 @@ let check_order n order =
       seen.(i) <- true)
     order
 
-let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
-    ?(should_stop = fun () -> false) fl ~order =
+(* The one generation loop: for each pending fault of the pass, PODEM,
+   random fill, then a drop scan.  [secondary_limit] > 0 adds dynamic
+   compaction between search and fill; [run] passes 0. *)
+let generate ~secondary_limit ?(config = default_config) ?resume ?checkpoint_every
+    ?on_checkpoint ?(should_stop = fun () -> false) fl ~order =
   if config.retries < 0 then invalid_arg "Engine.run: retries must be non-negative";
   let c = Fault_list.circuit fl in
   let nf = Fault_list.count fl in
@@ -179,16 +172,48 @@ let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
   let h_gen_abort = Trace.histogram tr "engine.gen_s.aborted" in
   let h_gen_oob = Trace.histogram tr "engine.gen_s.out_of_budget" in
   let c_budget = Trace.counter tr "engine.budget_expired" in
+  (* A test's drop scan is one pattern wide, so it is a plain loop
+     over the live faults after one good-value load. *)
   let simulate_and_drop vec test_idx =
-    Trace.time tr h_good (fun () -> load_test ws good ~n_inputs vec);
+    Trace.time tr h_good (fun () ->
+        Faultsim.load_good ws good (Patterns.of_vectors ~n_inputs [| vec |]) 0);
     let drops = ref 0 in
     for fi = 0 to nf - 1 do
-      if detected_by.(fi) < 0 && detects ws ~good fl fi then begin
+      if
+        detected_by.(fi) < 0
+        && Int64.logand (Faultsim.detect_block ws ~good (Fault_list.get fl fi)) 1L = 1L
+      then begin
         detected_by.(fi) <- test_idx;
         incr drops
       end
     done;
     if observed then Metrics.observe h_drops (float_of_int !drops)
+  in
+  (* Dynamic compaction: target the pass's later undetected faults
+     under the primary cube's assignments, within the primary's
+     deadline, merging every success into the cube before fill. *)
+  let add_secondaries ~deadline cube =
+    let cube = ref cube and attempts = ref 0 and i = ref (!pos + 1) in
+    let sched = !schedule in
+    while
+      !i < Array.length sched
+      && !attempts < secondary_limit
+      && Array.exists (fun t -> t = Ternary.X) !cube
+      && not (Budget.expired run_budget)
+    do
+      let gi = sched.(!i) in
+      if detected_by.(gi) < 0 then begin
+        incr attempts;
+        match
+          Podem.generate_in ~backtrack_limit:!limit ~deadline ~fixed:!cube ctx
+            (Fault_list.get fl gi)
+        with
+        | Podem.Test merged -> cube := merged
+        | Podem.Untestable | Podem.Aborted | Podem.Out_of_budget -> ()
+      end;
+      incr i
+    done;
+    !cube
   in
   let interrupted = ref false in
   let since_checkpoint = ref 0 in
@@ -254,7 +279,7 @@ let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
             true
           end
       | Podem.Test cube ->
-          let vec = fill_cube rng cube in
+          let vec = fill_cube rng (add_secondaries ~deadline cube) in
           let idx = !n_tests in
           tests_rev := vec :: !tests_rev;
           targeted_rev := fi :: !targeted_rev;
@@ -326,183 +351,13 @@ let run ?(config = default_config) ?resume ?checkpoint_every ?on_checkpoint
     spec_committed = 0;
   }
 
-let run_n_detect ?(config = default_config) ~n fl ~order =
-  if n <= 0 then invalid_arg "Engine.run_n_detect: n must be positive";
-  let c = Fault_list.circuit fl in
-  let nf = Fault_list.count fl in
-  check_order nf order;
-  let t0 = Unix.gettimeofday () in
-  let tr = Trace.current () in
-  let scoap = Scoap.compute c in
-  let ws = Faultsim.workspace c in
-  let rng = Rng.create config.seed in
-  let stats = Podem.fresh_stats () in
-  let ctx = Podem.context ~stats c scoap in
-  let run_budget = Budget.of_seconds_opt config.time_budget_s in
-  let counts = Array.make nf 0 in
-  let detected_by = Array.make nf (-1) in
-  let untestable = ref [] and aborted = ref [] and out_of_budget = ref [] in
-  let tests = ref [] and targeted = ref [] and n_tests = ref 0 in
-  let interrupted = ref false in
-  let n_inputs = Array.length (Circuit.inputs c) in
-  let good = Faultsim.good_arena ws in
-  let hopeless = Array.make nf false in
-  let simulate vec test_idx =
-    load_test ws good ~n_inputs vec;
-    for fi = 0 to nf - 1 do
-      if counts.(fi) < n && detects ws ~good fl fi then begin
-        counts.(fi) <- counts.(fi) + 1;
-        if detected_by.(fi) < 0 then detected_by.(fi) <- test_idx
-      end
-    done
-  in
-  for pass = 1 to n do
-    Trace.span tr ~attrs:[ ("pass", Trace.Int pass) ] "engine.n_detect_pass" @@ fun () ->
-    Array.iter
-      (fun fi ->
-        if Budget.expired run_budget then interrupted := true
-        else if counts.(fi) < pass && (not hopeless.(fi)) && not !interrupted then begin
-          let deadline = Budget.sub_opt run_budget config.per_fault_budget_s in
-          match
-            Podem.generate_in ~backtrack_limit:config.backtrack_limit ~deadline ctx
-              (Fault_list.get fl fi)
-          with
-          | Podem.Untestable ->
-              hopeless.(fi) <- true;
-              if pass = 1 then untestable := fi :: !untestable
-          | Podem.Aborted ->
-              hopeless.(fi) <- true;
-              if pass = 1 then aborted := fi :: !aborted
-          | Podem.Out_of_budget ->
-              if Budget.expired run_budget then interrupted := true
-              else begin
-                hopeless.(fi) <- true;
-                if pass = 1 then out_of_budget := fi :: !out_of_budget
-              end
-          | Podem.Test cube ->
-              let vec = fill_cube rng cube in
-              let idx = !n_tests in
-              tests := vec :: !tests;
-              targeted := fi :: !targeted;
-              incr n_tests;
-              simulate vec idx
-        end)
-      order
-  done;
-  let tests_arr = Array.of_list (List.rev !tests) in
-  publish_result tr ws stats ~tests:!n_tests ~untestable:(List.length !untestable)
-    ~aborted:(List.length !aborted) ~out_of_budget:(List.length !out_of_budget)
-    ~retry_recovered:0;
-  {
-    tests = Patterns.of_vectors ~n_inputs tests_arr;
-    detected_by;
-    targeted = Array.of_list (List.rev !targeted);
-    untestable = List.rev !untestable;
-    aborted = List.rev !aborted;
-    out_of_budget = List.rev !out_of_budget;
-    retry_recovered = 0;
-    interrupted = !interrupted;
-    snapshot = None;
-    stats;
-    runtime_s = Unix.gettimeofday () -. t0;
-    spec_dispatched = 0;
-    spec_committed = 0;
-  }
+let run = generate ~secondary_limit:0
 
 let run_compacting ?(config = default_config) ?(secondary_limit = 50) fl ~order =
-  let c = Fault_list.circuit fl in
-  let nf = Fault_list.count fl in
-  check_order nf order;
-  let t0 = Unix.gettimeofday () in
-  let tr = Trace.current () in
-  let scoap = Scoap.compute c in
-  let ws = Faultsim.workspace c in
-  let rng = Rng.create config.seed in
-  let stats = Podem.fresh_stats () in
-  let ctx = Podem.context ~stats c scoap in
-  let run_budget = Budget.of_seconds_opt config.time_budget_s in
-  let detected_by = Array.make nf (-1) in
-  let untestable = ref [] and aborted = ref [] and out_of_budget = ref [] in
-  let tests = ref [] and targeted = ref [] and n_tests = ref 0 in
-  let interrupted = ref false in
-  let n_inputs = Array.length (Circuit.inputs c) in
-  let good = Faultsim.good_arena ws in
-  let simulate_and_drop vec test_idx =
-    load_test ws good ~n_inputs vec;
-    for fi = 0 to nf - 1 do
-      if detected_by.(fi) < 0 && detects ws ~good fl fi then detected_by.(fi) <- test_idx
-    done
-  in
-  let cube_full cube = Array.for_all (fun t -> t <> Ternary.X) cube in
-  Trace.span tr ~attrs:[ ("secondary_limit", Trace.Int secondary_limit) ] "engine.compact"
-  @@ fun () ->
-  Array.iteri
-    (fun pos fi ->
-      if Budget.expired run_budget then interrupted := true
-      else if detected_by.(fi) < 0 && not !interrupted then begin
-        let deadline = Budget.sub_opt run_budget config.per_fault_budget_s in
-        match
-          Podem.generate_in ~backtrack_limit:config.backtrack_limit ~deadline ctx
-            (Fault_list.get fl fi)
-        with
-        | Podem.Untestable -> untestable := fi :: !untestable
-        | Podem.Aborted -> aborted := fi :: !aborted
-        | Podem.Out_of_budget ->
-            if Budget.expired run_budget then interrupted := true
-            else out_of_budget := fi :: !out_of_budget
-        | Podem.Test cube ->
-            (* Secondary targets: later undetected faults, under the
-               primary cube's assignments. *)
-            let cube = ref cube in
-            let attempts = ref 0 in
-            let rec secondary i =
-              if
-                i < nf && !attempts < secondary_limit
-                && (not (cube_full !cube))
-                && not (Budget.expired run_budget)
-              then begin
-                let gi = order.(i) in
-                if detected_by.(gi) < 0 && gi <> fi then begin
-                  incr attempts;
-                  match
-                    Podem.generate_in ~backtrack_limit:config.backtrack_limit ~deadline
-                      ~fixed:!cube ctx (Fault_list.get fl gi)
-                  with
-                  | Podem.Test merged -> cube := merged
-                  | Podem.Untestable | Podem.Aborted | Podem.Out_of_budget -> ()
-                end;
-                secondary (i + 1)
-              end
-            in
-            secondary (pos + 1);
-            let vec = fill_cube rng !cube in
-            let idx = !n_tests in
-            tests := vec :: !tests;
-            targeted := fi :: !targeted;
-            incr n_tests;
-            simulate_and_drop vec idx;
-            assert (detected_by.(fi) = idx)
-      end)
-    order;
-  let tests_arr = Array.of_list (List.rev !tests) in
-  publish_result tr ws stats ~tests:!n_tests ~untestable:(List.length !untestable)
-    ~aborted:(List.length !aborted) ~out_of_budget:(List.length !out_of_budget)
-    ~retry_recovered:0;
-  {
-    tests = Patterns.of_vectors ~n_inputs tests_arr;
-    detected_by;
-    targeted = Array.of_list (List.rev !targeted);
-    untestable = List.rev !untestable;
-    aborted = List.rev !aborted;
-    out_of_budget = List.rev !out_of_budget;
-    retry_recovered = 0;
-    interrupted = !interrupted;
-    snapshot = None;
-    stats;
-    runtime_s = Unix.gettimeofday () -. t0;
-    spec_dispatched = 0;
-    spec_committed = 0;
-  }
+  Trace.span (Trace.current ())
+    ~attrs:[ ("secondary_limit", Trace.Int secondary_limit) ]
+    "engine.compact"
+    (fun () -> generate ~secondary_limit ~config:{ config with retries = 0 } fl ~order)
 
 let coverage fl result =
   let nf = Fault_list.count fl in

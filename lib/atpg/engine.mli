@@ -1,17 +1,19 @@
-(** The test-generation engine: targets faults in a given order, with
-    fault dropping and random fill, and {e no} dynamic compaction —
-    exactly the procedure of the paper's Section 4.
+(** The test-generation engine: one loop that targets faults in a
+    given order, with fault dropping and random fill — the procedure of
+    the paper's Section 4.
 
     For each not-yet-detected fault, in order: run PODEM; fill the
     returned cube's don't-cares randomly; fault-simulate the resulting
     vector against all live faults and drop everything it detects.
     Faults proven untestable, aborted, or out of budget are recorded
-    and skipped.
+    and skipped.  {!run} is that loop; {!run_compacting} is the same
+    loop with one extra step between search and fill (dynamic
+    compaction, the paper's baseline).
 
-    Every entry point is single-threaded, with one fault-simulation
-    workspace: a test's drop scan is one pattern wide, so splitting it
-    would mean slicing the fault list, and that lost to the plain loop
-    on every measured core count.
+    The loop is single-threaded, with one fault-simulation workspace:
+    a test's drop scan is one pattern wide, so splitting it would mean
+    slicing the fault list, and that lost to the plain loop on every
+    measured core count.
 
     {2 Resilience}
 
@@ -120,26 +122,18 @@ val run :
 val coverage : Fault_list.t -> result -> float
 (** Fraction of faults detected, over faults not proven untestable. *)
 
-val run_n_detect :
-  ?config:config -> n:int -> Fault_list.t -> order:int array -> result
-(** n-detect generation: keep targeting faults until each is detected
-    by [n] {e distinct} tests (or its test generation fails).  The
-    result's [detected_by] holds first detections; tests added by later
-    passes only raise multiplicity.  n-detect sets drive the
-    n-detection ADI estimate and are standard practice for defect
-    coverage beyond the stuck-at model.  Honours the config's time
-    budgets (stopping with [interrupted] on run-budget expiry) but
-    performs no abort-retry escalation and offers no checkpointing. *)
-
 val run_compacting :
   ?config:config -> ?secondary_limit:int -> Fault_list.t -> order:int array -> result
 (** The engine with classic {e dynamic compaction} (the paper's
     reference [1]): after each primary test cube, up to
-    [secondary_limit] (default 50) further undetected faults are
-    targeted under the cube's assignments, merging every success into
-    the vector before random fill.  This is the costly alternative the
-    ADI ordering competes with; ablation A8 compares them.  Budget
-    handling as {!run_n_detect}; no escalation or checkpointing. *)
+    [secondary_limit] (default 50) undetected faults later in [order]
+    are targeted under the cube's assignments, within the primary's
+    per-fault deadline, merging every success into the vector before
+    random fill.  This is the costly alternative the
+    ADI ordering competes with; ablation A8 compares them.  It runs
+    {!run}'s loop with the config's [retries] forced to 0 (a single
+    pass) and no checkpointing; time budgets behave as in {!run}.  With
+    [secondary_limit = 0] its result equals {!run}'s at [retries = 0]. *)
 
 val fill_cube : Util.Rng.t -> Ternary.t array -> bool array
 (** Replace don't-cares with random values. *)

@@ -4,15 +4,15 @@ let magic = "ADI-ATPG-CKPT"
 
 (* v3: a digest line over the marshalled snapshot.  Marshal offers no
    integrity of its own and unmarshalling corrupted bytes is unsafe, so
-   the payload is verified before a single byte is deserialised. *)
-let version = 3
+   the payload is verified before a single byte is deserialised.
+   v4: the constant [generator] field is gone. *)
+let version = 4
 
 type t = {
   circuit_title : string;
   circuit_digest : string;
   seed : int;
   order_kind : string;
-  generator : string;
   backtrack_limit : int;
   retries : int;
   order : int array;
@@ -64,12 +64,11 @@ let load path =
       | Sys_error msg ->
           fail Diagnostics.Checkpoint_format "unreadable checkpoint (%s)" msg)
 
-let matches ck ~circuit ~seed ~order_kind ~generator ~backtrack_limit ~retries ~order =
+let matches ck ~circuit ~seed ~order_kind ~backtrack_limit ~retries ~order =
   let mismatch what = Error (Printf.sprintf "checkpoint was taken with a different %s" what) in
   if ck.circuit_digest <> digest_of_circuit circuit then mismatch "circuit"
   else if ck.seed <> seed then mismatch "seed"
   else if ck.order_kind <> order_kind then mismatch "fault order"
-  else if ck.generator <> generator then mismatch "generator"
   else if ck.backtrack_limit <> backtrack_limit then mismatch "backtrack limit"
   else if ck.retries <> retries then mismatch "retry count"
   else if ck.order <> order then mismatch "fault ordering"

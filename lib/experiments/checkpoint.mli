@@ -9,8 +9,8 @@
     a crash right after the rename can leave a truncated checkpoint.
 
     Identity of the interrupted run is captured alongside the engine
-    {!Engine.snapshot}: circuit digest, seed, ordering, generator and
-    search limits.  {!matches} checks a loaded checkpoint against the
+    {!Engine.snapshot}: circuit digest, seed, ordering and search
+    limits.  {!matches} checks a loaded checkpoint against the
     parameters of the resuming run, because resuming under different
     parameters would silently produce a test set neither run would have
     generated. *)
@@ -20,7 +20,6 @@ type t = {
   circuit_digest : string;  (** hex digest of the circuit's .bench text *)
   seed : int;
   order_kind : string;  (** {!Ordering.to_string} of the fault ordering *)
-  generator : string;  (** always ["podem"], the engine's only search procedure *)
   backtrack_limit : int;
   retries : int;
   order : int array;  (** the exact fault permutation in use *)
@@ -44,7 +43,6 @@ val matches :
   circuit:Circuit.t ->
   seed:int ->
   order_kind:string ->
-  generator:string ->
   backtrack_limit:int ->
   retries:int ->
   order:int array ->

@@ -124,11 +124,9 @@ let atpg_report ~kind ~faults (e : Engine.result) =
       (Coverage.ave (Coverage.of_engine_result faults e));
   Buffer.contents b
 
-(* The engine configuration travels separately from [cfg] so the legacy
-   [?config] parameter (whose seed may differ from the pipeline seed)
-   keeps its historical meaning. *)
-let run_atpg_with ?should_stop ~econfig (cfg : Run_config.t) circuit =
+let run_atpg_cfg ?should_stop (cfg : Run_config.t) circuit =
   Run_config.validate cfg;
+  let econfig = Run_config.engine_config cfg in
   let { Run_config.seed; order; checkpoint; checkpoint_every; resume; _ } = cfg in
   let (setup, result, checkpoint_saved), metrics_report =
     with_observability cfg @@ fun () ->
@@ -141,9 +139,6 @@ let run_atpg_with ?should_stop ~econfig (cfg : Run_config.t) circuit =
         "pipeline.order"
         (fun () -> Ordering.order order setup.Pipeline.adi)
     in
-    (* The engine's only search procedure; the checkpoint format keeps
-       the field so older files still load and match. *)
-    let generator = "podem" in
     let resume_snap =
       match (resume, checkpoint) with
       | false, _ | true, None -> None
@@ -171,7 +166,7 @@ let run_atpg_with ?should_stop ~econfig (cfg : Run_config.t) circuit =
           | ck -> (
               match
                 Checkpoint.matches ck ~circuit:setup.Pipeline.circuit ~seed ~order_kind
-                  ~generator ~backtrack_limit:econfig.Engine.backtrack_limit
+                  ~backtrack_limit:econfig.Engine.backtrack_limit
                   ~retries:econfig.Engine.retries ~order:order_arr
               with
               | Ok () -> Some ck.Checkpoint.snapshot
@@ -186,7 +181,6 @@ let run_atpg_with ?should_stop ~econfig (cfg : Run_config.t) circuit =
         circuit_digest = Checkpoint.digest_of_circuit setup.Pipeline.circuit;
         seed;
         order_kind;
-        generator;
         backtrack_limit = econfig.Engine.backtrack_limit;
         retries = econfig.Engine.retries;
         order = order_arr;
@@ -230,23 +224,6 @@ let run_atpg_with ?should_stop ~econfig (cfg : Run_config.t) circuit =
   in
   let report = atpg_report ~kind:order ~faults:setup.Pipeline.faults result in
   { setup; kind = order; result; report; checkpoint_saved; metrics_report }
-
-let run_atpg_cfg ?should_stop cfg circuit =
-  run_atpg_with ?should_stop ~econfig:(Run_config.engine_config cfg) cfg circuit
-
-(* Deprecated wrapper — the pre-[Run_config] optional-argument pile.
-   New code should build a [Run_config.t] and call {!run_atpg_cfg}. *)
-let run_atpg ?(seed = 1) ?(order = Ordering.Dynm0) ?(jobs = 1) ?config ?checkpoint
-    ?(checkpoint_every = 32) ?(resume = false) ?should_stop circuit =
-  let cfg =
-    { Run_config.default with seed; jobs; order; checkpoint; checkpoint_every; resume }
-  in
-  let econfig =
-    match config with
-    | Some c -> c
-    | None -> { Engine.default_config with Engine.seed }
-  in
-  run_atpg_with ?should_stop ~econfig cfg circuit
 
 let experiment_names =
   [

@@ -66,7 +66,7 @@ val run_atpg_cfg :
     - [resume] (with [checkpoint]) loads the file if it exists and
       continues from it; a missing file starts a fresh run.  The
       checkpoint's identity block (circuit digest, seed, order,
-      generator, limits) must match the current invocation.
+      limits) must match the current invocation.
     - [jobs] (default 1) is the lane count of the ADI setup's
       detection-set simulation; the engine itself is single-threaded.  Results
       are identical for any value, so it is deliberately absent from
@@ -78,20 +78,3 @@ val run_atpg_cfg :
     the checkpoint, [Checkpoint_format] on a corrupt file, or
     [Invalid_flag] when the configuration is invalid (e.g. [resume]
     without [checkpoint]). *)
-
-val run_atpg :
-  ?seed:int ->
-  ?order:Ordering.kind ->
-  ?jobs:int ->
-  ?config:Engine.config ->
-  ?checkpoint:string ->
-  ?checkpoint_every:int ->
-  ?resume:bool ->
-  ?should_stop:(unit -> bool) ->
-  Circuit.t ->
-  atpg_run
-(** @deprecated The pre-[Run_config] argument pile, kept so existing
-    callers keep compiling.  Equivalent to {!run_atpg_cfg} on
-    {!Run_config.default} with the given fields replaced; an explicit
-    [config] overrides the engine slice only (its seed does not affect
-    the pipeline seed, matching historical behaviour). *)

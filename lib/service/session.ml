@@ -227,19 +227,23 @@ let handle_order t params budget =
    budget, so a long generation stops at a fault boundary instead of
    outliving the request. *)
 let run_engine cfg setup budget =
-  let ecfg = Run_config.engine_config cfg in
-  let ecfg =
-    if Budget.is_unlimited budget then ecfg
+  let cfg' =
+    if Budget.is_unlimited budget then cfg
     else
       let remaining = Budget.remaining_s budget in
       let run_budget =
-        match ecfg.Engine.time_budget_s with
+        match cfg.Run_config.time_budget_s with
         | Some s -> Float.min s remaining
         | None -> remaining
       in
-      { ecfg with Engine.time_budget_s = Some run_budget }
+      (* Set as a field: a spent request must reach the engine and fail
+         E-budget there, whatever a builder would make of the value. *)
+      { cfg with Run_config.time_budget_s = Some run_budget }
   in
-  let e = (Pipeline.run_order_with ecfg setup cfg.Run_config.order).Pipeline.engine in
+  let e =
+    (Pipeline.run_order { setup with Pipeline.config = cfg' } cfg.Run_config.order)
+      .Pipeline.engine
+  in
   if e.Engine.interrupted then
     Diagnostics.fail Diagnostics.Budget_expired "request budget expired during test generation";
   e

@@ -39,7 +39,7 @@
     Replies contain no wall-clock fields, and every compute path goes
     through the same [Pipeline]/[Ordering]/[Engine] calls an offline
     run uses — a reply served from a warm cache is byte-identical to
-    the reply a cold session (or a cold [Pipeline.run_order_with])
+    the reply a cold session (or a cold [Pipeline.run_order])
     would produce for the same request.  This is the service's core
     correctness invariant and is pinned by the unit and cram suites.
 

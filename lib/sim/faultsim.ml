@@ -594,15 +594,6 @@ let with_dropping fl pats =
          end);
   { first_detection = first; detected = !detected }
 
-let n_detection fl pats ~n =
-  if n <= 0 then invalid_arg "Faultsim.n_detection: n must be positive";
-  let counts = Array.make (Fault_list.count fl) 0 in
-  drop_scan ~name:"faultsim.n_detection" ~attrs:[ ("n", Trace.Int n) ] fl pats
-    (fun ~b:_ fi d ->
-      counts.(fi) <- min n (counts.(fi) + Bitvec.popcount_word d);
-      counts.(fi) < n);
-  counts
-
 (* Keep only the earliest detections of [d] up to the cap. *)
 let keep_capped counts fi ~n d =
   let kept = ref 0L and w = ref d in

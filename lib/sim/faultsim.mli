@@ -43,7 +43,7 @@
     under one {!Util.Parallel.run}, and each detection word is written
     by exactly one lane, so results are bit-identical for every [jobs]
     regardless of scheduling.  The dropping family ({!with_dropping},
-    {!n_detection}, {!detection_sets_capped}) is serial: one workspace
+    {!detection_sets_capped}) is serial: one workspace
     scans the live faults block by block, because dropping makes each
     block's work depend on the previous one and both the fault-sliced
     scan and wider blocks lost to one narrow lane.
@@ -143,12 +143,6 @@ type drop_result = {
 val with_dropping : Fault_list.t -> Patterns.t -> drop_result
 (** Simulation with fault dropping: each fault is removed from
     consideration after its first detection. *)
-
-val n_detection : Fault_list.t -> Patterns.t -> n:int -> int array
-(** n-detection simulation: per fault, the number of detecting patterns
-    seen, counting at most [n] (a fault is dropped after its [n]-th
-    detection).  [n_detection fl pats ~n:1] counts like
-    {!with_dropping}. *)
 
 val detection_sets_capped : Fault_list.t -> Patterns.t -> n:int -> Util.Bitvec.t array
 (** n-detection variant of {!detection_sets}: each fault's detection

@@ -527,29 +527,37 @@ let compacting_engine_sound =
        (Array.init (Patterns.count comp.Engine.tests) Fun.id)
 
 
-let n_detect_reaches_multiplicity =
-  QCheck.Test.make ~name:"n-detect: every testable fault reaches n detections" ~count:8
-    arb_circuit
-  @@ fun c ->
+(* [run_compacting] is [run]'s loop plus the secondary-target step;
+   with no secondaries allowed it must be [run] at one pass. *)
+let compacting_without_secondaries_is_run =
+  QCheck.Test.make ~name:"run_compacting ~secondary_limit:0 = run at retries 0" ~count:20
+    QCheck.(pair arb_circuit (oneofl [ 0; 1; 256 ]))
+  @@ fun (c, backtrack_limit) ->
   let fl = Collapse.collapsed c in
-  let nfaults = Fault_list.count fl in
-  let order = Array.init nfaults Fun.id in
-  let n = 3 in
-  let r = Engine.run_n_detect ~n fl ~order in
-  (* Verify multiplicity by non-dropping simulation of the result. *)
-  let sets = Faultsim.detection_sets fl r.Engine.tests in
-  let ok = ref true in
-  Array.iteri
-    (fun fi d ->
-      let m = Util.Bitvec.popcount d in
-      let failed = List.mem fi r.Engine.untestable || List.mem fi r.Engine.aborted in
-      if (not failed) && m < n && m > 0 then
-        (* a fault detected at least once must reach n unless its own
-           generation failed in a later pass (possible only via abort,
-           which lands in [aborted] on pass 1 here) *)
-        ok := false)
-    sets;
-  !ok
+  let n = Fault_list.count fl in
+  let order = Array.init n (fun i -> n - 1 - i) in
+  let config = { Engine.default_config with Engine.retries = 0; backtrack_limit } in
+  let plain = Engine.run ~config fl ~order in
+  let comp = Engine.run_compacting ~config ~secondary_limit:0 fl ~order in
+  Patterns.to_strings plain.Engine.tests = Patterns.to_strings comp.Engine.tests
+  && plain.Engine.detected_by = comp.Engine.detected_by
+  && plain.Engine.untestable = comp.Engine.untestable
+  && plain.Engine.aborted = comp.Engine.aborted
+
+(* Ablation A8's test counts at seed 1 (EXPERIMENTS.md), the only
+   end-to-end figures of the compaction path. *)
+let compaction_ablation_counts () =
+  List.iter
+    (fun (name, orig, dynm0) ->
+      let setup = Pipeline.prepare Run_config.default (Suite.build_by_name name) in
+      let config = { Engine.default_config with Engine.seed = Pipeline.seed setup } in
+      let count kind =
+        let order = Ordering.order kind setup.Pipeline.adi in
+        Patterns.count (Engine.run_compacting ~config setup.Pipeline.faults ~order).Engine.tests
+      in
+      check Alcotest.int (name ^ " orig+dyncomp") orig (count Ordering.Orig);
+      check Alcotest.int (name ^ " 0dynm+dyncomp") dynm0 (count Ordering.Dynm0))
+    [ ("syn208", 24, 19); ("syn298", 28, 25) ]
 
 let () =
   Util.Trace.install_from_env ();
@@ -574,7 +582,8 @@ let () =
         [
           Alcotest.test_case "c17 full coverage" `Quick engine_full_coverage_on_c17;
           qtest compacting_engine_sound;
-          qtest n_detect_reaches_multiplicity;
+          qtest compacting_without_secondaries_is_run;
+          Alcotest.test_case "compaction ablation counts" `Quick compaction_ablation_counts;
           Alcotest.test_case "rejects bad order" `Quick engine_rejects_bad_order;
           Alcotest.test_case "abort-retry escalation" `Quick engine_escalation_recovers;
           Alcotest.test_case "budget classification" `Quick engine_budget_classification;

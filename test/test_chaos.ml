@@ -334,7 +334,6 @@ let c17_checkpoint ~seed =
       circuit_digest = Checkpoint.digest_of_circuit c;
       seed;
       order_kind = "0dynm";
-      generator = "podem";
       backtrack_limit = 256;
       retries = 1;
       order;
@@ -384,12 +383,12 @@ let corrupt_checkpoint_is_typed () =
 
 let garbage_checkpoint path =
   let oc = open_out_bin path in
-  output_string oc "ADI-ATPG-CKPT v3\nnot-a-digest\ngarbage payload";
+  output_string oc "ADI-ATPG-CKPT v4\nnot-a-digest\ngarbage payload";
   close_out oc
 
 let resume_lenient_starts_fresh () =
   let c = Library.c17 () in
-  let full = Harness.run_atpg ~seed:1 c in
+  let full = Harness.run_atpg_cfg Run_config.default c in
   with_temp_file @@ fun path ->
   garbage_checkpoint path;
   let cfg =

@@ -138,7 +138,6 @@ let c17_checkpoint () =
       circuit_digest = Checkpoint.digest_of_circuit c;
       seed = 1;
       order_kind = "0dynm";
-      generator = "podem";
       backtrack_limit = 256;
       retries = 1;
       order;
@@ -183,11 +182,10 @@ let checkpoint_rejects_truncated () =
 
 let checkpoint_matches_catches_drift () =
   let c, ck = c17_checkpoint () in
-  let ok ?(seed = 1) ?(order_kind = "0dynm") ?(generator = "podem") ?(backtrack_limit = 256)
-      ?(retries = 1) ?order () =
+  let ok ?(seed = 1) ?(order_kind = "0dynm") ?(backtrack_limit = 256) ?(retries = 1) ?order
+      () =
     let order = Option.value order ~default:ck.Checkpoint.order in
-    Checkpoint.matches ck ~circuit:c ~seed ~order_kind ~generator ~backtrack_limit ~retries
-      ~order
+    Checkpoint.matches ck ~circuit:c ~seed ~order_kind ~backtrack_limit ~retries ~order
   in
   check Alcotest.bool "same parameters accepted" true (ok () = Ok ());
   let rejects what r =
@@ -197,28 +195,29 @@ let checkpoint_matches_catches_drift () =
   in
   rejects "seed" (ok ~seed:2 ());
   rejects "order kind" (ok ~order_kind:"dynm" ());
-  rejects "generator" (ok ~generator:"dalg" ());
   rejects "backtrack limit" (ok ~backtrack_limit:128 ());
   rejects "order array"
     (ok ~order:(Array.of_list (List.rev (Array.to_list ck.Checkpoint.order))) ())
 
+(* A run that checkpoints to [path] and resumes from it when present. *)
+let resuming ?(jobs = 1) path =
+  Run_config.(default |> with_jobs jobs |> with_checkpoint (Some path) |> with_resume true)
+
 let run_atpg_resume_byte_identical () =
   let c = Library.c17 () in
-  let full = Harness.run_atpg ~seed:1 c in
+  let full = Harness.run_atpg_cfg Run_config.default c in
   with_temp_file @@ fun path ->
   Sys.remove path;
   (* an absent file must mean "fresh run", not an error *)
   let polls = ref 0 in
   let interrupted =
-    Harness.run_atpg ~seed:1 ~checkpoint:path ~resume:true
-      ~should_stop:(fun () -> incr polls; !polls > 3)
-      c
+    Harness.run_atpg_cfg ~should_stop:(fun () -> incr polls; !polls > 3) (resuming path) c
   in
   check Alcotest.bool "interrupted" true interrupted.Harness.result.Engine.interrupted;
   check Alcotest.(option string) "checkpoint written" (Some path)
     interrupted.Harness.checkpoint_saved;
   check Alcotest.bool "file exists" true (Sys.file_exists path);
-  let resumed = Harness.run_atpg ~seed:1 ~checkpoint:path ~resume:true c in
+  let resumed = Harness.run_atpg_cfg (resuming path) c in
   check Alcotest.string "byte-identical report" full.Harness.report resumed.Harness.report;
   check Alcotest.bool "completed run removes the checkpoint" false (Sys.file_exists path)
 
@@ -227,32 +226,32 @@ let run_atpg_resume_byte_identical () =
    same bytes out. *)
 let run_atpg_resume_parallel_byte_identical () =
   let c = Library.c17 () in
-  let full = Harness.run_atpg ~seed:1 c in
+  let full = Harness.run_atpg_cfg Run_config.default c in
   with_temp_file @@ fun path ->
   Sys.remove path;
   let polls = ref 0 in
   let interrupted =
-    Harness.run_atpg ~seed:1 ~checkpoint:path ~resume:true
-      ~should_stop:(fun () -> incr polls; !polls > 3)
-      c
+    Harness.run_atpg_cfg ~should_stop:(fun () -> incr polls; !polls > 3) (resuming path) c
   in
   check Alcotest.bool "interrupted" true interrupted.Harness.result.Engine.interrupted;
-  let resumed = Harness.run_atpg ~seed:1 ~jobs:4 ~checkpoint:path ~resume:true c in
+  let resumed = Harness.run_atpg_cfg (resuming ~jobs:4 path) c in
   check Alcotest.string "byte-identical report under --jobs 4" full.Harness.report
     resumed.Harness.report;
   check Alcotest.string "same report as an all-serial run"
-    (Harness.run_atpg ~seed:1 ~jobs:4 c).Harness.report full.Harness.report
+    (Harness.run_atpg_cfg Run_config.(default |> with_jobs 4) c).Harness.report
+    full.Harness.report
 
 let run_atpg_refuses_mismatched_resume () =
   let c = Library.c17 () in
   with_temp_file @@ fun path ->
   let polls = ref 0 in
   let _ =
-    Harness.run_atpg ~seed:1 ~checkpoint:path
+    Harness.run_atpg_cfg
       ~should_stop:(fun () -> incr polls; !polls > 3)
+      Run_config.(default |> with_checkpoint (Some path))
       c
   in
-  match Harness.run_atpg ~seed:2 ~checkpoint:path ~resume:true c with
+  match Harness.run_atpg_cfg Run_config.(resuming path |> with_seed 2) c with
   | exception D.Failed d ->
       check Alcotest.bool "mismatch code" true (d.D.code = D.Checkpoint_mismatch);
       check Alcotest.(option string) "blames the file" (Some path) d.D.loc.D.file
@@ -261,7 +260,7 @@ let run_atpg_refuses_mismatched_resume () =
 let run_atpg_requires_checkpoint_for_resume () =
   check Alcotest.bool "resume without checkpoint rejected" true
     (try
-       ignore (Harness.run_atpg ~resume:true (Library.c17 ()));
+       ignore (Harness.run_atpg_cfg Run_config.(default |> with_resume true) (Library.c17 ()));
        false
      with D.Failed d -> d.D.code = D.Invalid_flag)
 

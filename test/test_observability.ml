@@ -3,8 +3,7 @@
    injectable clock, JSONL schema round-trips, the
    instrumentation-is-purely-observational invariant (identical engine
    results with metrics on/off and for any jobs count), and the
-   equivalence of the legacy optional-argument entry points with the
-   Run_config paths. *)
+   Run_config defaults and validation. *)
 
 module Metrics = Util.Metrics
 module Trace = Util.Trace
@@ -228,7 +227,7 @@ let jobs_parity_with_metrics () =
   check Alcotest.bool "jobs=1 and jobs=4 agree under metrics" true
     (same_result serial.Harness.result pooled.Harness.result)
 
-(* ---------- Run_config and the legacy entry points ---------------- *)
+(* ---------- Run_config ------------------------------------------- *)
 
 let run_config_defaults () =
   let e = Run_config.engine_config Run_config.default in
@@ -240,15 +239,6 @@ let run_config_defaults () =
     (e.Engine.time_budget_s = None && e.Engine.per_fault_budget_s = None);
   check Alcotest.bool "observability off by default" false
     (Run_config.observed Run_config.default)
-
-let legacy_wrapper_equivalence () =
-  let c = Library.c17 () in
-  let legacy = Harness.run_atpg ~seed:3 ~order:Ordering.Dynm c in
-  let cfg = Run_config.(default |> with_seed 3 |> with_order Ordering.Dynm) in
-  let modern = Harness.run_atpg_cfg cfg c in
-  check Alcotest.string "identical report" legacy.Harness.report modern.Harness.report;
-  check Alcotest.bool "identical result" true
-    (same_result legacy.Harness.result modern.Harness.result)
 
 let invalid_flag code f =
   match f () with
@@ -343,7 +333,6 @@ let () =
       ( "run_config",
         [
           Alcotest.test_case "defaults" `Quick run_config_defaults;
-          Alcotest.test_case "legacy equivalence" `Quick legacy_wrapper_equivalence;
           Alcotest.test_case "builder validation" `Quick builder_validation;
           Alcotest.test_case "shared parser" `Quick shared_flag_parser;
           Alcotest.test_case "trace append on resume" `Quick trace_file_append_on_resume;

@@ -317,7 +317,7 @@ let atpg_matches_offline_pipeline () =
   let raw = reply_string t (Protocol.single "atpg" order_params) in
   let cfg = Run_config.(small_cfg 3 |> with_order Ordering.Incr0) in
   let setup = Pipeline.prepare cfg (c17 ()) in
-  let run = Pipeline.run_order_with (Run_config.engine_config cfg) setup Ordering.Incr0 in
+  let run = Pipeline.run_order setup Ordering.Incr0 in
   let offline = Array.to_list (Patterns.to_strings run.Pipeline.engine.Engine.tests) in
   match Result.bind (Json.of_string raw) Protocol.response_of_json with
   | Ok { Protocol.payload = Ok (Protocol.Result result); _ } ->

@@ -179,17 +179,6 @@ let ndet_counts =
   done;
   !ok
 
-let n_detection_caps =
-  QCheck.Test.make ~name:"n_detection counts detections capped at n" ~count:30 arb_circuit
-  @@ fun c ->
-  let fl = Collapse.collapsed c in
-  let n_inputs = Array.length (Circuit.inputs c) in
-  let rng = Rng.create 37 in
-  let pats = Patterns.random rng ~n_inputs ~count:70 in
-  let sets = Faultsim.detection_sets fl pats in
-  let counts = Faultsim.n_detection fl pats ~n:3 in
-  Array.for_all2 (fun d cnt -> cnt = min 3 (Bitvec.popcount d)) sets counts
-
 let detects_single =
   QCheck.Test.make ~name:"Faultsim.detects agrees with Refsim.detects" ~count:30 arb_circuit
   @@ fun c ->
@@ -362,13 +351,11 @@ let drivers_match_oracle =
             { Faultsim.first_detection = Array.map (function [] -> -1 | p :: _ -> p) hits;
               detected = Array.fold_left (fun a ps -> if ps = [] then a else a + 1) 0 hits }
           in
-          let counts = Array.map (fun ps -> min n (List.length ps)) hits in
           let capped = Array.map (fun ps -> set_of (List.filteri (fun i _ -> i < n) ps)) hits in
           List.for_all
             (fun jobs -> words_equal (Array.map set_of hits) (Faultsim.detection_sets ~jobs fl pats))
             (List.sort_uniq compare [ 1; env_jobs ])
           && Faultsim.with_dropping fl pats = drop
-          && Faultsim.n_detection fl pats ~n = counts
           && words_equal capped (Faultsim.detection_sets_capped fl pats ~n))
         [ Collapse.collapsed c; Fault_list.full c ])
     [ 64; 160; 600 ]
@@ -467,7 +454,6 @@ let () =
           qtest detection_sets_match_oracle;
           qtest with_dropping_matches_sets;
           qtest ndet_counts;
-          qtest n_detection_caps;
           qtest capped_sets_are_prefixes;
           qtest detects_single;
           qtest parallel_detection_sets_identical;
