@@ -141,8 +141,9 @@ let resilient_client ~seed address =
 (* Drains a server through its front door, resiliently. *)
 let shutdown_via address server domain =
   let stopper = Service.Client.create address in
-  (try ignore (Service.Client.request stopper ~timeout_s:30.0 "shutdown" [])
-   with Util.Diagnostics.Failed _ -> Service.Server.request_stop server);
+  (match Service.Client.shutdown stopper ~timeout_s:30.0 () with
+  | Ok _ -> ()
+  | Error _ -> Service.Server.request_stop server);
   Service.Client.close stopper;
   Domain.join domain
 
@@ -150,7 +151,8 @@ let shutdown_via address server domain =
    session: the byte-identity reference of the soaks. *)
 let offline_reply session what op params =
   match
-    (Service.Session.handle session (Service.Protocol.single op params)).Service.Protocol.payload
+    (Service.Session.handle session { Service.Protocol.id = 1; call = Single (op, params) })
+      .Service.Protocol.payload
   with
   | Ok (Service.Protocol.Result j) -> Util.Json.to_string (strip_cached j)
   | Ok _ -> failwith (what ^ ": offline pipeline returned an unexpected reply shape")
@@ -169,16 +171,17 @@ let total results pick = Array.fold_left (fun a r -> a + pick r) 0 results
 
 let soak_ops () =
   let circuit name = ("circuit", Util.Json.Str name) in
-  [ ("adi", [ circuit "c17" ]);
-    ("order", [ circuit "c17" ]);
-    ("atpg", [ circuit "c17" ]);
-    ("adi", [ circuit "lion" ]);
-    ("order", [ circuit "syn208"; ("limit", Util.Json.Int 10) ]);
-    ("load", [ circuit "syn208" ]);
-    ("diagnose", [ circuit "c17" ]);
-    ("diagnose",
-     [ circuit "c17"; ("fails", Util.Json.Arr [ Util.Json.Int 0 ]);
-       ("limit", Util.Json.Int 3) ]) ]
+  Service.Protocol.
+    [ (Adi, [ circuit "c17" ]);
+      (Order, [ circuit "c17" ]);
+      (Atpg, [ circuit "c17" ]);
+      (Adi, [ circuit "lion" ]);
+      (Order, [ circuit "syn208"; ("limit", Util.Json.Int 10) ]);
+      (Load, [ circuit "syn208" ]);
+      (Diagnose, [ circuit "c17" ]);
+      (Diagnose,
+       [ circuit "c17"; ("fails", Util.Json.Arr [ Util.Json.Int 0 ]);
+         ("limit", Util.Json.Int 3) ]) ]
 
 let run_soak () =
   let ops = Array.of_list (soak_ops ()) in
@@ -211,18 +214,13 @@ let run_soak () =
           let idx = (k + i) mod Array.length ops in
           let op, params = ops.(idx) in
           let t0 = Unix.gettimeofday () in
-          let note () = samples := (op, Unix.gettimeofday () -. t0) :: !samples in
-          match Service.Client.request client op params with
+          let reply = Service.Client.single client op params in
+          samples := (Service.Protocol.op_name op, Unix.gettimeofday () -. t0) :: !samples;
+          match reply with
           | Ok j ->
-              note ();
               if Util.Json.to_string (strip_cached j) = expected.(idx) then incr ok
               else incr wrong
-          | Error _ ->
-              note ();
-              incr failed
-          | exception Util.Diagnostics.Failed _ ->
-              note ();
-              incr failed
+          | Error _ -> incr failed
         done;
         (!ok, !wrong, !failed, Service.Client.retries client, !samples))
   in
@@ -252,7 +250,7 @@ let run_soak () =
 
 (* The same byte-identity proof, one layer up: an adi-router in front
    of two shared-spill workers, driven by 4 concurrent clients sending
-   protocol v2 batch requests.  Every per-item reply that gets through
+   batch requests.  Every per-item reply that gets through
    must match the offline pipeline byte for byte, and repeats must
    stay pinned to their owning worker. *)
 
@@ -277,7 +275,7 @@ let run_fleet () =
     let pristine = Service.Session.create ~capacity:16 ~jobs:1 () in
     List.map
       (fun (op, items) ->
-        (op, List.map (offline_reply pristine "fleet" (Service.Protocol.op_name op)) items))
+        (op, List.map (offline_reply pristine "fleet" op) items))
       batches
   in
   Util.Failpoint.install_from_env ();

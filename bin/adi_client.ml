@@ -14,8 +14,7 @@
 open Cmdliner
 module Json = Util.Json
 module Diagnostics = Util.Diagnostics
-
-let budget_code = Diagnostics.code_string Diagnostics.Budget_expired
+module Protocol = Service.Protocol
 
 let guard f =
   try f () with
@@ -43,17 +42,13 @@ let with_client target ~timeout_s ~retries f =
   let client = Service.Client.create ~policy target in
   Fun.protect ~finally:(fun () -> Service.Client.close client) (fun () -> f client)
 
-let report_error (e : Service.Protocol.error) =
-  Printf.eprintf "adi-client: %s [%s]\n" e.Service.Protocol.message e.Service.Protocol.code;
-  exit (if e.Service.Protocol.code = budget_code then 4 else 2)
-
-let print_payload = function
-  | Ok result -> print_endline (Json.to_string result)
-  | Error e -> report_error e
-
+(* A typed failure — an error reply or exhausted retries — leaves
+   through [guard], which picks the exit code. *)
 let request target ~timeout_s ~retries op params =
   with_client target ~timeout_s ~retries (fun client ->
-      print_payload (Service.Client.request client op params))
+      match Service.Client.single client op params with
+      | Ok result -> print_endline (Json.to_string result)
+      | Error d -> raise (Diagnostics.Failed d))
 
 (* --- arguments ---------------------------------------------------- *)
 
@@ -145,13 +140,13 @@ let config_params_term =
         "Abort-retry escalation passes (the $(b,retries) request parameter)." "R"
     $ float_p "budget_s" "Per-request wall-clock budget in seconds." "S")
 
-let circuit_cmd name ~doc ~extra_params =
+let circuit_cmd op ~doc ~extra_params =
   let run target timeout retries spec params extra =
     guard @@ fun () ->
-    request target ~timeout_s:timeout ~retries name (circuit_params spec @ params @ extra)
+    request target ~timeout_s:timeout ~retries op (circuit_params spec @ params @ extra)
   in
   Cmd.v
-    (Cmd.info name ~doc)
+    (Cmd.info (Protocol.op_name op) ~doc)
     Term.(
       const run $ target_term $ timeout_arg $ retries_arg $ circuit_arg $ config_params_term
       $ extra_params)
@@ -168,10 +163,10 @@ let limit_term =
 
 let no_extra = Term.const []
 
-let load_cmd = circuit_cmd "load" ~doc:"Parse, collapse, select U and compute ADI (warms the cache)" ~extra_params:no_extra
-let adi_cmd = circuit_cmd "adi" ~doc:"ADI summary (ADImin/ADImax/ratio)" ~extra_params:no_extra
-let order_cmd = circuit_cmd "order" ~doc:"Compute a fault ordering" ~extra_params:limit_term
-let atpg_cmd = circuit_cmd "atpg" ~doc:"Generate a test set" ~extra_params:no_extra
+let load_cmd = circuit_cmd Protocol.Load ~doc:"Parse, collapse, select U and compute ADI (warms the cache)" ~extra_params:no_extra
+let adi_cmd = circuit_cmd Protocol.Adi ~doc:"ADI summary (ADImin/ADImax/ratio)" ~extra_params:no_extra
+let order_cmd = circuit_cmd Protocol.Order ~doc:"Compute a fault ordering" ~extra_params:limit_term
+let atpg_cmd = circuit_cmd Protocol.Atpg ~doc:"Generate a test set" ~extra_params:no_extra
 
 (* Diagnosis: ship the observed failure log (failing test indices, an
    optional applied-prefix length, optional full per-output responses)
@@ -258,23 +253,23 @@ let diagnose_params =
     $ fails_term $ applied_term $ response_term $ candidates_term)
 
 let diagnose_cmd =
-  circuit_cmd "diagnose"
+  circuit_cmd Protocol.Diagnose
     ~doc:
       "Diagnose an observed failure log: rank dictionary candidates for the failing tests"
     ~extra_params:diagnose_params
 
-let plain_cmd name ~doc ~params_term =
+let plain_cmd op ~doc ~params_term =
   let run target timeout retries params =
-    guard @@ fun () -> request target ~timeout_s:timeout ~retries name params
+    guard @@ fun () -> request target ~timeout_s:timeout ~retries op params
   in
   Cmd.v
-    (Cmd.info name ~doc)
+    (Cmd.info (Protocol.op_name op) ~doc)
     Term.(const run $ target_term $ timeout_arg $ retries_arg $ params_term)
 
-let stats_cmd = plain_cmd "stats" ~doc:"Server statistics (version, cache hit/miss counters)" ~params_term:(Term.const [])
+let stats_cmd = plain_cmd Protocol.Stats ~doc:"Server statistics (version, cache hit/miss counters)" ~params_term:(Term.const [])
 
 let health_cmd =
-  plain_cmd "health"
+  plain_cmd Protocol.Health
     ~doc:"Liveness probe: version, uptime, in-flight, shed and restart counters"
     ~params_term:(Term.const [])
 
@@ -288,21 +283,8 @@ let evict_params =
   Term.(
     const (fun v -> match v with Some k -> [ ("key", Json.Str k) ] | None -> []) $ term)
 
-let evict_cmd = plain_cmd "evict" ~doc:"Evict cache entries" ~params_term:evict_params
-let shutdown_cmd = plain_cmd "shutdown" ~doc:"Drain in-flight requests and stop the server" ~params_term:(Term.const [])
-
-let hello_cmd =
-  let run target timeout retries =
-    guard @@ fun () ->
-    with_client target ~timeout_s:timeout ~retries (fun client ->
-        match Service.Client.hello client () with
-        | Ok version ->
-            print_endline (Json.to_string (Json.Obj [ ("version", Json.Int version) ]))
-        | Error d -> raise (Diagnostics.Failed d))
-  in
-  Cmd.v
-    (Cmd.info "hello" ~doc:"Negotiate a protocol version and print it")
-    Term.(const run $ target_term $ timeout_arg $ retries_arg)
+let evict_cmd = plain_cmd Protocol.Evict ~doc:"Evict cache entries" ~params_term:evict_params
+let shutdown_cmd = plain_cmd Protocol.Shutdown ~doc:"Drain in-flight requests and stop the server" ~params_term:(Term.const [])
 
 (* One round-trip, many circuits: each CIRCUIT becomes one batch item
    carrying the shared config parameters.  Per-item outcomes come back
@@ -324,8 +306,8 @@ let batch_cmd =
   let run target timeout retries op specs params =
     guard @@ fun () ->
     let op =
-      match Service.Protocol.op_of_name op with
-      | Some op when Service.Protocol.batchable op -> op
+      match Protocol.op_of_name op with
+      | Some op when Protocol.batchable op -> op
       | _ ->
           invalid_arg
             (Printf.sprintf "batch: op %S has no batch form (use adi, order, atpg or diagnose)" op)
@@ -337,20 +319,20 @@ let batch_cmd =
         | Ok replies ->
             let item = function
               | Ok result -> Json.Obj [ ("ok", Json.Bool true); ("result", result) ]
-              | Error (e : Service.Protocol.error) ->
+              | Error (e : Protocol.error) ->
                   Json.Obj
                     [ ("ok", Json.Bool false);
                       ("error",
                        Json.Obj
-                         [ ("code", Json.Str e.Service.Protocol.code);
-                           ("message", Json.Str e.Service.Protocol.message) ]) ]
+                         [ ("code", Json.Str e.Protocol.code);
+                           ("message", Json.Str e.Protocol.message) ]) ]
             in
             print_endline
               (Json.to_string (Json.Obj [ ("results", Json.Arr (List.map item replies)) ])))
   in
   Cmd.v
     (Cmd.info "batch"
-       ~doc:"Run one op over many circuits in a single protocol v2 batch request")
+       ~doc:"Run one op over many circuits in a single batch request")
     Term.(
       const run $ target_term $ timeout_arg $ retries_arg $ op_arg $ circuits_arg
       $ config_params_term)
@@ -364,7 +346,7 @@ let cmd =
   in
   Cmd.group ~default:default_term info
     [ load_cmd; adi_cmd; order_cmd; atpg_cmd; diagnose_cmd; batch_cmd; stats_cmd; health_cmd; evict_cmd;
-      shutdown_cmd; hello_cmd ]
+      shutdown_cmd ]
 
 let () =
   (try Util.Failpoint.install_from_env ()

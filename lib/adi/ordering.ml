@@ -13,15 +13,7 @@ let to_string = function
   | Dynm -> "dynm"
   | Dynm0 -> "0dynm"
 
-let of_string s =
-  match String.lowercase_ascii s with
-  | "orig" -> Some Orig
-  | "incr0" -> Some Incr0
-  | "decr" -> Some Decr
-  | "0decr" | "decr0" -> Some Decr0
-  | "dynm" -> Some Dynm
-  | "0dynm" | "dynm0" -> Some Dynm0
-  | _ -> None
+let of_string s = List.find_opt (fun k -> String.equal (to_string k) s) all
 
 let split_zero (t : Adi_index.t) =
   let zeros = ref [] and detected = ref [] in

@@ -16,6 +16,7 @@ type kind =
 val all : kind list
 val to_string : kind -> string
 val of_string : string -> kind option
+(** Exactly the names {!to_string} prints; anything else is [None]. *)
 
 val order : kind -> Adi_index.t -> int array
 (** Compute the permutation.

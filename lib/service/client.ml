@@ -14,9 +14,6 @@ type t = {
   rng : Rng.t;
   tracer : Trace.t;
   mutable fd : Unix.file_descr option;
-  mutable negotiated : Protocol.version option;
-      (* the version the *current* connection welcomed us at; reset on
-         every disconnect — a fresh connection is unnegotiated *)
   mutable retries : int;
   mutable next_id : int;
 }
@@ -28,15 +25,13 @@ let create ?(policy = default_policy) ?(clock = Budget.default_clock)
   (* A peer vanishing mid-write must surface as EPIPE, not kill us. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   { address; policy; clock; sleep; rng = Rng.create seed; tracer; fd = None;
-    negotiated = None; retries = 0; next_id = 1 }
+    retries = 0; next_id = 1 }
 
 let retries t = t.retries
-let version t = t.negotiated
 
 let close t =
   Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.fd;
-  t.fd <- None;
-  t.negotiated <- None
+  t.fd <- None
 
 let fresh_id t =
   let id = t.next_id in
@@ -160,63 +155,18 @@ let overload_to_exn = function
       Diagnostics.fail Diagnostics.Overload "%s" e.Protocol.message
   | payload -> payload
 
-let note_welcome t = function
-  | Ok (Protocol.Welcome { version; _ }) -> t.negotiated <- Some version
-  | _ -> ()
-
 (* One full request-reply exchange on the current connection. *)
 let exchange t ~budget ~id payload =
   let resp = decode_response t (attempt_exchange t payload ~budget) in
   check_reply_id t ~id resp;
-  let payload = overload_to_exn resp.Protocol.payload in
-  note_welcome t payload;
-  payload
-
-(* --- version negotiation ------------------------------------------ *)
-
-(* Lazy: only a call that needs v2 pays for a handshake, and only once
-   per connection.  A pre-v2 server answers [hello] with its ordinary
-   unknown-op E-protocol error — itself a usable negotiation signal:
-   the connection is marked v1 and v2 calls get a typed refusal. *)
-let ensure_negotiated t ~budget =
-  match t.negotiated with
-  | Some v -> v
-  | None -> (
-      let id = fresh_id t in
-      let payload =
-        Json.to_string
-          (Protocol.request_to_json { Protocol.id; call = Protocol.Hello Protocol.supported_versions })
-      in
-      match exchange t ~budget ~id payload with
-      | Ok (Protocol.Welcome { version; _ }) -> version
-      | Ok _ ->
-          close t;
-          Diagnostics.fail Diagnostics.Protocol "hello reply was not a welcome"
-      | Error e when e.Protocol.code = Diagnostics.code_string Diagnostics.Protocol ->
-          t.negotiated <- Some Protocol.v1;
-          Protocol.v1
-      | Error e -> raise (Diagnostics.Failed (Protocol.diagnostic_of_error e)))
+  overload_to_exn resp.Protocol.payload
 
 (* --- the generic entry points ------------------------------------- *)
 
 let call_exn t ?timeout_s call =
   let id = fresh_id t in
   let payload = Json.to_string (Protocol.request_to_json { Protocol.id; call }) in
-  let needed = Protocol.min_version call in
-  with_retry t ?timeout_s (fun ~attempt:_ ~budget ->
-      if needed > Protocol.v1 then begin
-        let v = ensure_negotiated t ~budget in
-        if v < needed then
-          (* A real (non-retryable) answer: this server cannot serve
-             the call, no matter how often we ask. *)
-          Error
-            { Protocol.code = Diagnostics.code_string Diagnostics.Protocol;
-              message =
-                Printf.sprintf "server speaks protocol v%d but %s needs v%d" v
-                  (Protocol.call_name call) needed }
-        else exchange t ~budget ~id payload
-      end
-      else exchange t ~budget ~id payload)
+  with_retry t ?timeout_s (fun ~attempt:_ ~budget -> exchange t ~budget ~id payload)
 
 let call t ?timeout_s c =
   match call_exn t ?timeout_s c with
@@ -245,12 +195,6 @@ let health t ?timeout_s () = single t ?timeout_s Protocol.Health []
 let evict t ?timeout_s params = single t ?timeout_s Protocol.Evict params
 let shutdown t ?timeout_s () = single t ?timeout_s Protocol.Shutdown []
 
-let hello t ?timeout_s () =
-  match call t ?timeout_s (Protocol.Hello Protocol.supported_versions) with
-  | Ok (Protocol.Welcome { version; _ }) -> Ok version
-  | Ok _ -> unexpected_shape "hello"
-  | Error d -> Error d
-
 let batch t ?timeout_s op items =
   if not (Protocol.batchable op) then
     invalid_arg (Printf.sprintf "Client.batch: op %s has no batch form" (Protocol.op_name op));
@@ -259,29 +203,12 @@ let batch t ?timeout_s op items =
   | Ok _ -> unexpected_shape ("batch_" ^ Protocol.op_name op)
   | Error d -> Error d
 
-(* Compatibility surface: op by name, reply payload or typed wire
-   error, transport exhaustion raised — the original v1 client
-   contract, byte-identical on the wire.  Arbitrary op strings pass
-   through untyped (how the test suite provokes unknown-op errors). *)
-let request t ?timeout_s op params =
-  let id = fresh_id t in
-  let payload =
-    Json.to_string (Json.Obj (("id", Json.Int id) :: ("op", Json.Str op) :: params))
-  in
-  with_retry t ?timeout_s (fun ~attempt:_ ~budget ->
-      match exchange t ~budget ~id payload with
-      | Ok (Protocol.Result j) -> Ok j
-      | Ok _ ->
-          close t;
-          Diagnostics.fail Diagnostics.Protocol "unexpected reply shape for op %S" op
-      | Error e -> Error e)
-
 (* --- pipelining --------------------------------------------------- *)
 
 (* Send every call up front, then match replies by id in whatever
-   order the peer produces them — the v2 multiplexing discipline.
-   Replies already received survive a mid-stream reconnect: only the
-   unanswered calls are resent (safe: every op is idempotent). *)
+   order the peer produces them.  Replies already received survive a
+   mid-stream reconnect: only the unanswered calls are resent (safe:
+   every op is idempotent). *)
 let pipeline t ?timeout_s calls =
   match calls with
   | [] -> []
@@ -291,8 +218,6 @@ let pipeline t ?timeout_s calls =
         Hashtbl.create (List.length ids)
       in
       with_retry t ?timeout_s (fun ~attempt:_ ~budget ->
-          if List.exists (fun (_, c) -> Protocol.min_version c > Protocol.v1) ids then
-            ignore (ensure_negotiated t ~budget : Protocol.version);
           let pending = List.filter (fun (id, _) -> not (Hashtbl.mem results id)) ids in
           let fd = ensure_connected t in
           try
@@ -311,9 +236,7 @@ let pipeline t ?timeout_s calls =
                 close t;
                 Diagnostics.fail Diagnostics.Protocol "unexpected reply id %d" resp.Protocol.id
               end;
-              let payload = overload_to_exn resp.Protocol.payload in
-              note_welcome t payload;
-              Hashtbl.replace results resp.Protocol.id payload;
+              Hashtbl.replace results resp.Protocol.id (overload_to_exn resp.Protocol.payload);
               decr remaining
             done
           with e ->

@@ -18,19 +18,10 @@
 
     {!call} is the generic entry point: one typed {!Protocol.call} in,
     one typed {!Protocol.reply} or {!Util.Diagnostics.t} out, never an
-    exception.  The per-op functions ({!load}, {!order}, {!batch}, …)
-    are thin wrappers over it.  {!request} keeps the original
-    op-by-name surface (and its raise-on-exhaustion contract) for
-    callers that build requests dynamically.
-
-    {2 Version negotiation}
-
-    Negotiation is lazy and per-connection: the first call that needs
-    protocol v2 (a batch) sends [hello] automatically and caches the
-    welcomed version until the connection drops; v1 calls never pay
-    for a handshake.  Against a pre-v2 server the handshake degrades
-    gracefully — the unknown-op error marks the connection v1 and v2
-    calls return a typed [E-protocol] refusal instead of retrying.
+    exception.  {!single} takes any {!Protocol.op} (callers that start
+    from an op name go through {!Protocol.op_of_name}); the per-op
+    functions ({!load}, {!order}, {!batch}, …) are thin wrappers over
+    it.  Every call is one frame on the wire: there is no handshake.
 
     Each transport retry bumps the [client.retries] counter on the
     client's tracer (and the {!retries} accessor), so soaks and
@@ -55,14 +46,11 @@ val create :
     {!Util.Trace.null} (clients often live on non-leader domains). *)
 
 val close : t -> unit
-(** Drop the connection, if any (forgetting its negotiated version).
-    The client may be reused — the next call reconnects. *)
+(** Drop the connection, if any.  The client may be reused — the next
+    call reconnects. *)
 
 val retries : t -> int
 (** Total transport retries performed over the client's lifetime. *)
-
-val version : t -> Protocol.version option
-(** The version negotiated on the current connection, if any. *)
 
 (** {2 Generic calls} *)
 
@@ -90,9 +78,9 @@ val pipeline :
   Protocol.call list ->
   (Protocol.reply, Protocol.error) result list
 (** Send every call up front on one connection, then collect replies
-    matched by id {e in any order} (the v2 multiplexing discipline),
-    returning them in request order.  On a mid-stream transport
-    failure only the unanswered calls are resent.
+    matched by id {e in any order}, returning them in request order.
+    On a mid-stream transport failure only the unanswered calls are
+    resent.
     @raise Util.Diagnostics.Failed as {!call_exn}. *)
 
 (** {2 Per-op wrappers} *)
@@ -100,6 +88,9 @@ val pipeline :
 val single :
   t -> ?timeout_s:float -> Protocol.op -> Protocol.params ->
   (Util.Json.t, Util.Diagnostics.t) result
+(** One single-op round-trip: the result object, or the typed
+    diagnostic of a wire error reply or of exhausted transport
+    retries (see {!call}). *)
 
 val load : t -> ?timeout_s:float -> Protocol.params -> (Util.Json.t, Util.Diagnostics.t) result
 val adi : t -> ?timeout_s:float -> Protocol.params -> (Util.Json.t, Util.Diagnostics.t) result
@@ -111,9 +102,6 @@ val stats : t -> ?timeout_s:float -> unit -> (Util.Json.t, Util.Diagnostics.t) r
 val health : t -> ?timeout_s:float -> unit -> (Util.Json.t, Util.Diagnostics.t) result
 val shutdown : t -> ?timeout_s:float -> unit -> (Util.Json.t, Util.Diagnostics.t) result
 
-val hello : t -> ?timeout_s:float -> unit -> (Protocol.version, Util.Diagnostics.t) result
-(** Negotiate explicitly (usually unnecessary — see the module doc). *)
-
 val batch :
   t ->
   ?timeout_s:float ->
@@ -123,14 +111,3 @@ val batch :
 (** One [batch_*] round-trip; per-item outcomes in request order, each
     byte-identical to the equivalent single op's result.
     @raise Invalid_argument when the op has no batch form. *)
-
-(** {2 Compatibility and debugging} *)
-
-val request :
-  t -> ?timeout_s:float -> string -> (string * Util.Json.t) list ->
-  (Util.Json.t, Protocol.error) result
-(** [request t op params] sends one single-op request by name
-    (arbitrary strings pass through, so tests can provoke unknown-op
-    errors) and returns the reply payload: [Ok result] or a typed
-    error reply (other than overload, which is retried).
-    @raise Util.Diagnostics.Failed as {!call_exn}. *)

@@ -1,17 +1,6 @@
 module Json = Util.Json
 module Diagnostics = Util.Diagnostics
 
-type version = int
-
-let v1 = 1
-let v2 = 2
-let supported_versions = [ v1; v2 ]
-
-let negotiate peer =
-  List.fold_left
-    (fun best v -> if List.mem v peer && (best = None || Some v > best) then Some v else best)
-    None supported_versions
-
 type params = (string * Json.t) list
 
 type op = Load | Adi | Order | Atpg | Diagnose | Stats | Health | Evict | Shutdown
@@ -33,19 +22,13 @@ let op_of_name s = List.find_opt (fun o -> String.equal (op_name o) s) base_ops
 
 let batchable = function Adi | Order | Atpg | Diagnose -> true | _ -> false
 
-type call =
-  | Single of op * params
-  | Batch of op * params list
-  | Hello of version list
+type call = Single of op * params | Batch of op * params list
 
 type request = { id : int; call : call }
 
 let call_name = function
   | Single (op, _) -> op_name op
   | Batch (op, _) -> "batch_" ^ op_name op
-  | Hello _ -> "hello"
-
-let min_version = function Single _ | Hello _ -> v1 | Batch _ -> v2
 
 let single ?(id = 1) name params =
   match op_of_name name with
@@ -54,17 +37,13 @@ let single ?(id = 1) name params =
 
 let ops =
   List.map op_name base_ops
-  @ [ "hello" ]
   @ List.filter_map
       (fun o -> if batchable o then Some ("batch_" ^ op_name o) else None)
       base_ops
 
 type error = { code : string; message : string }
 
-type reply =
-  | Result of Json.t
-  | Batch_replies of (Json.t, error) result list
-  | Welcome of { version : version; versions : version list; server : string }
+type reply = Result of Json.t | Batch_replies of (Json.t, error) result list
 
 type response = { id : int; payload : (reply, error) result }
 
@@ -83,8 +62,6 @@ let request_to_json (r : request) =
   | Batch (op, items) ->
       envelope ("batch_" ^ op_name op)
         [ ("requests", Json.Arr (List.map (fun p -> Json.Obj p) items)) ]
-  | Hello versions ->
-      envelope "hello" [ ("versions", Json.Arr (List.map (fun v -> Json.Int v) versions)) ]
 
 let decode_batch_items params =
   match List.assoc_opt "requests" params with
@@ -97,15 +74,6 @@ let decode_batch_items params =
       in
       go [] items
   | Some _ -> Error (Malformed "\"requests\" must be an array of parameter objects")
-
-let decode_versions params =
-  match List.assoc_opt "versions" params with
-  | None -> Ok [ v1 ]  (* a bare hello is a v1 client probing *)
-  | Some (Json.Arr vs) ->
-      let ints = List.filter_map Json.to_int vs in
-      if List.length ints = List.length vs then Ok ints
-      else Error (Malformed "\"versions\" must be an array of integers")
-  | Some _ -> Error (Malformed "\"versions\" must be an array of integers")
 
 let request_of_json j =
   match j with
@@ -120,20 +88,16 @@ let request_of_json j =
           let wrap call = Ok { id; call } in
           match op_of_name name with
           | Some op -> wrap (Single (op, params))
-          | None ->
-              if String.equal name "hello" then
-                Result.bind (decode_versions params) (fun vs -> wrap (Hello vs))
-              else
-                let batch_base =
-                  if String.length name > 6 && String.sub name 0 6 = "batch_" then
-                    op_of_name (String.sub name 6 (String.length name - 6))
-                  else None
-                in
-                (match batch_base with
-                | Some op when batchable op ->
-                    Result.bind (decode_batch_items params) (fun items ->
-                        wrap (Batch (op, items)))
-                | _ -> Error (Unknown_op { id; op = name }))))
+          | None -> (
+              let batch_base =
+                if String.length name > 6 && String.sub name 0 6 = "batch_" then
+                  op_of_name (String.sub name 6 (String.length name - 6))
+                else None
+              in
+              match batch_base with
+              | Some op when batchable op ->
+                  Result.bind (decode_batch_items params) (fun items -> wrap (Batch (op, items)))
+              | _ -> Error (Unknown_op { id; op = name }))))
   | _ -> Error (Malformed "request is not a JSON object")
 
 (* --- responses ---------------------------------------------------- *)
@@ -151,13 +115,6 @@ let response_to_json r =
     | Ok (Result result) -> [ ("ok", Json.Bool true); ("result", result) ]
     | Ok (Batch_replies items) ->
         [ ("ok", Json.Bool true); ("batch", Json.Arr (List.map item_to_json items)) ]
-    | Ok (Welcome { version; versions; server }) ->
-        [ ("ok", Json.Bool true);
-          ( "hello",
-            Json.Obj
-              [ ("version", Json.Int version);
-                ("versions", Json.Arr (List.map (fun v -> Json.Int v) versions));
-                ("server", Json.Str server) ] ) ]
     | Error e -> [ ("ok", Json.Bool false); ("error", error_to_json e) ]
   in
   Json.Obj (("id", Json.Int r.id) :: tail)
@@ -187,13 +144,9 @@ let response_of_json j =
       in
       match Option.bind (List.assoc_opt "ok" fields) Json.to_bool with
       | Some true -> (
-          match
-            ( List.assoc_opt "result" fields,
-              List.assoc_opt "batch" fields,
-              List.assoc_opt "hello" fields )
-          with
-          | Some result, _, _ -> Ok { id; payload = Ok (Result result) }
-          | None, Some (Json.Arr items), _ ->
+          match (List.assoc_opt "result" fields, List.assoc_opt "batch" fields) with
+          | Some result, _ -> Ok { id; payload = Ok (Result result) }
+          | None, Some (Json.Arr items) ->
               let rec go acc = function
                 | [] -> Ok { id; payload = Ok (Batch_replies (List.rev acc)) }
                 | item :: rest -> (
@@ -202,22 +155,8 @@ let response_of_json j =
                     | Error msg -> Error msg)
               in
               go [] items
-          | None, Some _, _ -> Error "\"batch\" is not an array"
-          | None, None, Some hello ->
-              let version =
-                Option.value ~default:v1 (Option.bind (Json.member "version" hello) Json.to_int)
-              in
-              let versions =
-                match Json.member "versions" hello with
-                | Some (Json.Arr vs) -> List.filter_map Json.to_int vs
-                | _ -> [ version ]
-              in
-              let server =
-                Option.value ~default:""
-                  (Option.bind (Json.member "server" hello) Json.to_str)
-              in
-              Ok { id; payload = Ok (Welcome { version; versions; server }) }
-          | None, None, None -> Error "success response has no \"result\", \"batch\" or \"hello\"")
+          | None, Some _ -> Error "\"batch\" is not an array"
+          | None, None -> Error "success response has no \"result\" or \"batch\"")
       | Some false -> (
           match List.assoc_opt "error" fields with
           | Some err -> Ok { id; payload = Error (error_of_json err) }

@@ -1,26 +1,16 @@
 (** The service wire protocol: typed requests and replies over
     length-prefixed JSON frames.
 
-    {2 Versions}
+    {2 Ops and batches}
 
-    Two protocol versions share one wire format.  {b v1} is the
-    original one-op-per-round-trip protocol; {b v2} adds the [hello]
-    version-negotiation handshake, first-class batch ops
-    ([batch_adi] / [batch_order] / [batch_atpg] / [batch_diagnose]:
-    many circuits or
-    configurations per round-trip, replies in request order), and
-    out-of-order replies over one connection (request [id]s already
-    make replies attributable; v2 clients may pipeline several frames
-    and match replies by [id] in any order).  Every v1 frame is
-    byte-identical under v2 — old clients keep working without a
-    handshake, and a connection that never sends a v2 op never pays
-    for one.
-
-    A v2 client opens with [{"id":1,"op":"hello","versions":[1,2]}];
-    the server answers with a [Welcome] naming the highest common
-    version ([{"id":1,"ok":true,"hello":{"version":2,...}}]).  Unknown
-    ops come back as a typed [E-protocol] error naming the negotiated
-    version.
+    A single op ([load], [adi], [order], …) does one piece of work per
+    round trip.  The batch ops ([batch_adi] / [batch_order] /
+    [batch_atpg] / [batch_diagnose]) carry many circuits or
+    configurations in one round trip, replies in request order.
+    Request [id]s make every reply attributable, so a client may
+    pipeline several frames over one connection and match replies by
+    [id] in any order.  Unknown ops come back as a typed [E-protocol]
+    error listing every op the server speaks.
 
     {2 Framing}
 
@@ -52,23 +42,10 @@
     [{"id": <int>, "ok": true, "result": {...}}] on success;
     [{"id": <int>, "ok": true, "batch": [...]}] for a batch, each
     element [{"ok":true,"result":...}] or [{"ok":false,"error":...}]
-    in request order; [{"id": <int>, "ok": true, "hello": {...}}] for
-    a welcome; or [{"id": <int>, "ok": false, "error": {"code":
+    in request order; or [{"id": <int>, "ok": false, "error": {"code":
     "E-...", "message": ...}}] with a stable {!Util.Diagnostics} code
     slug on failure.  The [id] echoes the request (0 when the request
     was too malformed to carry one). *)
-
-type version = int
-
-val v1 : version
-val v2 : version
-
-val supported_versions : version list
-(** The versions this build speaks, ascending: [[1; 2]]. *)
-
-val negotiate : version list -> version option
-(** Highest version present in both [supported_versions] and the
-    peer's list; [None] when the intersection is empty. *)
 
 type params = (string * Util.Json.t) list
 (** Everything in a request object besides [id]/[op]. *)
@@ -82,41 +59,31 @@ val batchable : op -> bool
 (** Ops with a [batch_*] form: [Adi], [Order], [Atpg], [Diagnose]. *)
 
 type call =
-  | Single of op * params  (** one v1 op *)
+  | Single of op * params  (** one op *)
   | Batch of op * params list
-      (** v2: one round-trip, many parameter sets; the op must be
+      (** one round-trip, many parameter sets; the op must be
           {!batchable} *)
-  | Hello of version list  (** v2 handshake: the versions the client speaks *)
 
 type request = { id : int; call : call }
 
 val call_name : call -> string
-(** The wire op string: ["adi"], ["batch_adi"], ["hello"], … *)
-
-val min_version : call -> version
-(** The protocol version a call first appears in: 1 for {!Single} and
-    {!Hello} (a v1 server answers [hello] with its ordinary
-    unknown-op error, which is itself a usable negotiation signal),
-    2 for {!Batch}. *)
+(** The wire op string: ["adi"], ["batch_adi"], … *)
 
 val single : ?id:int -> string -> params -> request
 (** Build a {!Single} request from an op name (default [id] 1).
     @raise Invalid_argument on an unknown op name. *)
 
 val ops : string list
-(** Every known op string, v1 ops first — the vocabulary quoted by
-    unknown-op error messages. *)
+(** Every known op string, single ops first — the vocabulary quoted
+    by unknown-op error messages. *)
 
 type error = { code : string; message : string }
 
 type reply =
-  | Result of Util.Json.t  (** one v1 result object *)
+  | Result of Util.Json.t  (** one single-op result object *)
   | Batch_replies of (Util.Json.t, error) result list
       (** per-item outcomes, in request order; an item's failure never
           poisons its siblings *)
-  | Welcome of { version : version; versions : version list; server : string }
-      (** negotiated version, everything the server speaks, and the
-          server's software version *)
 
 type response = { id : int; payload : (reply, error) result }
 
@@ -124,7 +91,7 @@ type decode_error =
   | Malformed of string  (** not a request at all *)
   | Unknown_op of { id : int; op : string }
       (** syntactically a request, but no such op — the reply must
-          echo [id] and name the negotiated version *)
+          echo [id] *)
 
 val request_to_json : request -> Util.Json.t
 val request_of_json : Util.Json.t -> (request, decode_error) result

@@ -144,16 +144,12 @@ let drain_fleet t =
 
 (* --- forwarding ---------------------------------------------------- *)
 
-(* Per-connection state: the client's negotiated version and one lazy
-   downstream connection per worker (so a pipelining client keeps its
-   worker connections warm, and a disconnect releases them all). *)
-type conn = {
-  router : t;
-  mutable version : Protocol.version;
-  clients : (int, Client.t) Hashtbl.t;
-}
+(* Per-connection state: one lazy downstream connection per worker (so
+   a pipelining client keeps its worker connections warm, and a
+   disconnect releases them all). *)
+type conn = { router : t; clients : (int, Client.t) Hashtbl.t }
 
-let new_conn t = { router = t; version = Protocol.v1; clients = Hashtbl.create 4 }
+let new_conn t = { router = t; clients = Hashtbl.create 4 }
 
 let client_for conn w =
   match Hashtbl.find_opt conn.clients w with
@@ -390,43 +386,20 @@ let count_request t ~failed =
     if failed then Metrics.incr (Trace.counter t.tracer "router.errors")
   end
 
-let handle_hello conn id versions =
-  match Protocol.negotiate versions with
-  | Some version ->
-      conn.version <- version;
-      { Protocol.id;
-        payload =
-          Ok
-            (Protocol.Welcome
-               { version; versions = Protocol.supported_versions;
-                 server = Util.Version.version }) }
-  | None ->
-      protocol_error id
-        (Printf.sprintf "no common protocol version (server speaks: %s)"
-           (String.concat ", " (List.map string_of_int Protocol.supported_versions)))
-
 let handle conn (req : Protocol.request) =
   let t = conn.router in
-  match req.Protocol.call with
-  | Protocol.Hello versions -> handle_hello conn req.Protocol.id versions
-  | call ->
-      let payload =
-        match call with
-        | Protocol.Hello _ -> assert false
-        | Protocol.Single (Protocol.Stats, _) -> Ok (Protocol.Result (stats_reply conn))
-        | Protocol.Single (Protocol.Health, _) -> Ok (Protocol.Result (health_reply t))
-        | Protocol.Single (Protocol.Evict, params) ->
-            Ok (Protocol.Result (evict_reply conn params))
-        | Protocol.Single (Protocol.Shutdown, _) ->
-            Ok (Protocol.Result (Json.Obj [ ("stopping", Json.Bool true) ]))
-        | Protocol.Single (op, params) -> (
-            match route_single conn op params ~attempts:0 with
-            | Ok reply -> Ok reply
-            | Error e -> Error e)
-        | Protocol.Batch (op, items) -> Ok (Protocol.Batch_replies (route_batch conn op items))
-      in
-      count_request t ~failed:(Result.is_error payload);
-      { Protocol.id = req.Protocol.id; payload }
+  let payload =
+    match req.Protocol.call with
+    | Protocol.Single (Protocol.Stats, _) -> Ok (Protocol.Result (stats_reply conn))
+    | Protocol.Single (Protocol.Health, _) -> Ok (Protocol.Result (health_reply t))
+    | Protocol.Single (Protocol.Evict, params) -> Ok (Protocol.Result (evict_reply conn params))
+    | Protocol.Single (Protocol.Shutdown, _) ->
+        Ok (Protocol.Result (Json.Obj [ ("stopping", Json.Bool true) ]))
+    | Protocol.Single (op, params) -> route_single conn op params ~attempts:0
+    | Protocol.Batch (op, items) -> Ok (Protocol.Batch_replies (route_batch conn op items))
+  in
+  count_request t ~failed:(Result.is_error payload);
+  { Protocol.id = req.Protocol.id; payload }
 
 let count_failed_request t = count_request t ~failed:true
 
@@ -442,8 +415,7 @@ let handle_frame t conn payload =
     | Ok (Error (Protocol.Unknown_op { id; op })) ->
         count_failed_request t;
         ( protocol_error id
-            (Printf.sprintf "unknown op %S (protocol v%d; expected one of: %s)" op
-               conn.version
+            (Printf.sprintf "unknown op %S (expected one of: %s)" op
                (String.concat ", " Protocol.ops)),
           `Continue )
     | Ok (Ok req) ->

@@ -27,10 +27,9 @@
     {2 Fleet ops}
 
     [stats] and [evict] fan out to every live worker and aggregate;
-    [health] answers from the router's own counters; [hello]
-    negotiates the router's protocol version; [shutdown] drains the
-    router itself (the [adi_router] binary then optionally drains the
-    workers — see {!drain_fleet}). *)
+    [health] answers from the router's own counters; [shutdown] drains
+    the router itself (the [adi_router] binary then optionally drains
+    the workers — see {!drain_fleet}). *)
 
 type t
 
@@ -59,7 +58,7 @@ val workers : t -> worker list
 (** Snapshot, in configuration order. *)
 
 val requests : t -> int
-(** Frames handled so far ([hello] excluded, like a worker session). *)
+(** Frames handled so far (including failed ones). *)
 
 val affinity : t -> int * int
 (** [(hits, moves)]: how many routed keys went to the same worker as
@@ -92,5 +91,5 @@ val drain_fleet : t -> unit
 
 val backend : t -> Server.backend
 (** Package the router as a {!Server.backend}.  Each accepted
-    connection gets its own negotiated version and its own pool of
-    per-worker downstream connections (closed on disconnect). *)
+    connection gets its own pool of per-worker downstream connections
+    (closed on disconnect). *)

@@ -54,8 +54,9 @@ type connection = {
 
 type backend = {
   connect : unit -> connection;
-      (** called once per accepted connection; per-connection protocol
-          state (e.g. the negotiated version) lives in the closure *)
+      (** called once per accepted connection; per-connection state
+          (e.g. the router's downstream worker clients) lives in the
+          closure *)
   shed : string -> string;
       (** admission control refused this frame — build the E-overload
           reply without running the handler *)

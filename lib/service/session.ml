@@ -25,14 +25,6 @@ type t = {
          count, lane restarts, …) *)
 }
 
-(* Per-connection protocol state.  The negotiated version starts at 1
-   — a connection that never says [hello] is a v1 connection — and
-   only a successful handshake moves it. *)
-type conn = { mutable version : Protocol.version }
-
-let new_conn () = { version = Protocol.v1 }
-let conn_version conn = conn.version
-
 let create ?(capacity = 8) ?spill_dir ?(shared_spill = false) ?(jobs = 1) ?request_budget_s
     ?(clock = Budget.default_clock) ?tracer () =
   if jobs < 1 then invalid_arg "Session.create: jobs must be at least 1";
@@ -500,80 +492,52 @@ let capture f =
   | exception Sys_error msg ->
       Error { Protocol.code = Diagnostics.code_string Diagnostics.Io_error; message = msg }
 
-(* The handshake: not counted as a request — negotiation is connection
-   setup, not work — so v1 traffic keeps byte-identical counters. *)
-let handle_hello t conn id versions =
-  let payload =
-    match Protocol.negotiate versions with
-    | Some v ->
-        conn.version <- v;
-        Ok
-          (Protocol.Welcome
-             { version = v; versions = Protocol.supported_versions;
-               server = Util.Version.version })
-    | None ->
-        Error
-          { Protocol.code = Diagnostics.code_string Diagnostics.Protocol;
-            message =
-              Printf.sprintf "no common protocol version (server speaks: %s)"
-                (String.concat ", " (List.map string_of_int Protocol.supported_versions)) }
-  in
-  locked t (fun () ->
-      if Trace.enabled t.tracer then Metrics.incr (Trace.counter t.tracer "service.hello"));
-  { Protocol.id; payload }
-
 let cached_flag_counters tr result =
   match Option.bind (Json.member "cached" result) Json.to_bool with
   | Some true -> Metrics.incr (Trace.counter tr "service.cache.hits")
   | Some false -> Metrics.incr (Trace.counter tr "service.cache.misses")
   | None -> ()
 
-let handle t ?conn (req : Protocol.request) =
-  let conn = match conn with Some c -> c | None -> new_conn () in
-  match req.Protocol.call with
-  | Protocol.Hello versions -> handle_hello t conn req.Protocol.id versions
-  | call ->
-      let start_s = locked t (fun () -> Trace.now_s t.tracer) in
-      let payload =
-        match call with
-        | Protocol.Hello _ -> assert false
-        | Protocol.Single (op, params) ->
-            Result.map (fun j -> Protocol.Result j) (capture (fun () -> dispatch_single t op params))
-        | Protocol.Batch (op, items) ->
-            (* Each item runs exactly the single-op path, in request
-               order, with its own budget and its own error capture —
-               the byte-identity and isolation guarantees of v1, one
-               round-trip instead of n. *)
-            Ok
-              (Protocol.Batch_replies
-                 (List.map (fun params -> capture (fun () -> dispatch_single t op params)) items))
-      in
-      let op_string = Protocol.call_name call in
-      (* Publish counters and the request span under the lock — tracers
-         and registries are not domain-safe on their own. *)
-      locked t (fun () ->
-          t.n_requests <- t.n_requests + 1;
-          (match payload with Error _ -> t.n_errors <- t.n_errors + 1 | Ok _ -> ());
-          let tr = t.tracer in
-          if Trace.enabled tr then begin
-            Metrics.incr (Trace.counter tr "service.requests");
-            Metrics.incr (Trace.counter tr (Printf.sprintf "service.requests.%s" op_string));
-            (match payload with
-            | Error _ -> Metrics.incr (Trace.counter tr "service.errors")
-            | Ok (Protocol.Result result) -> cached_flag_counters tr result
-            | Ok (Protocol.Batch_replies items) ->
-                List.iter (function Ok r -> cached_flag_counters tr r | Error _ -> ()) items
-            | Ok (Protocol.Welcome _) -> ());
-            let dur_s = Trace.now_s tr -. start_s in
-            Trace.emit_span tr "service.request" ~start_s ~dur_s
-              ~attrs:
-                [ ("op", Trace.Str op_string); ("id", Trace.Int req.Protocol.id);
-                  ("ok", Trace.Bool (Result.is_ok payload)) ];
-            Metrics.observe
-              (Trace.histogram tr (Printf.sprintf "service.request_s.%s" op_string))
-              dur_s
-          end);
-      { Protocol.id = req.Protocol.id; payload }
+let handle t (req : Protocol.request) =
+  let start_s = locked t (fun () -> Trace.now_s t.tracer) in
+  let payload =
+    match req.Protocol.call with
+    | Protocol.Single (op, params) ->
+        Result.map (fun j -> Protocol.Result j) (capture (fun () -> dispatch_single t op params))
+    | Protocol.Batch (op, items) ->
+        (* Each item runs exactly the single-op path, in request
+           order, with its own budget and its own error capture — the
+           byte-identity and isolation guarantees of single ops, one
+           round-trip instead of n. *)
+        Ok
+          (Protocol.Batch_replies
+             (List.map (fun params -> capture (fun () -> dispatch_single t op params)) items))
+  in
+  let op_string = Protocol.call_name req.Protocol.call in
+  (* Publish counters and the request span under the lock — tracers
+     and registries are not domain-safe on their own. *)
+  locked t (fun () ->
+      t.n_requests <- t.n_requests + 1;
+      (match payload with Error _ -> t.n_errors <- t.n_errors + 1 | Ok _ -> ());
+      let tr = t.tracer in
+      if Trace.enabled tr then begin
+        Metrics.incr (Trace.counter tr "service.requests");
+        Metrics.incr (Trace.counter tr (Printf.sprintf "service.requests.%s" op_string));
+        (match payload with
+        | Error _ -> Metrics.incr (Trace.counter tr "service.errors")
+        | Ok (Protocol.Result result) -> cached_flag_counters tr result
+        | Ok (Protocol.Batch_replies items) ->
+            List.iter (function Ok r -> cached_flag_counters tr r | Error _ -> ()) items);
+        let dur_s = Trace.now_s tr -. start_s in
+        Trace.emit_span tr "service.request" ~start_s ~dur_s
+          ~attrs:
+            [ ("op", Trace.Str op_string); ("id", Trace.Int req.Protocol.id);
+              ("ok", Trace.Bool (Result.is_ok payload)) ];
+        Metrics.observe
+          (Trace.histogram tr (Printf.sprintf "service.request_s.%s" op_string))
+          dur_s
+      end);
+  { Protocol.id = req.Protocol.id; payload }
 
 let count_failed_request t =
   locked t (fun () ->
@@ -589,8 +553,7 @@ let protocol_error_response id message =
     payload =
       Error { Protocol.code = Diagnostics.code_string Diagnostics.Protocol; message } }
 
-let handle_frame t ?conn payload =
-  let conn = match conn with Some c -> c | None -> new_conn () in
+let handle_frame t payload =
   let response =
     match Json.of_string payload with
     | Error msg ->
@@ -602,15 +565,11 @@ let handle_frame t ?conn payload =
             count_failed_request t;
             protocol_error_response 0 (Printf.sprintf "malformed request: %s" msg)
         | Error (Protocol.Unknown_op { id; op }) ->
-            (* Typed E-protocol naming the connection's negotiated
-               version, so a v2 client can tell "old server" from
-               "bad op". *)
             count_failed_request t;
             protocol_error_response id
-              (Printf.sprintf "unknown op %S (protocol v%d; expected one of: %s)" op
-                 conn.version
+              (Printf.sprintf "unknown op %S (expected one of: %s)" op
                  (String.concat ", " Protocol.ops))
-        | Ok req -> handle t ~conn req)
+        | Ok req -> handle t req)
   in
   let directive =
     match response.Protocol.payload with
@@ -646,10 +605,7 @@ let shed_frame t payload =
 
 let backend t =
   { Server.connect =
-      (fun () ->
-        let conn = new_conn () in
-        { Server.handle = (fun payload -> handle_frame t ~conn payload);
-          disconnect = (fun () -> ()) });
+      (fun () -> { Server.handle = handle_frame t; disconnect = (fun () -> ()) });
     shed = shed_frame t;
     on_queue_depth = observe_queue_depth t;
     on_inflight = observe_inflight t;

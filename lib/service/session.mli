@@ -8,20 +8,13 @@
     error reply with a stable [E-...] code, because a resident service
     must survive any single bad request.
 
-    {2 Protocol versions and batches}
-
-    Connection-scoped protocol state (the version negotiated by
-    [hello]) lives in a {!conn} value, one per accepted connection;
-    direct callers that skip it get a fresh v1 connection per call.
-    A [hello] is connection setup, not work: it never bumps the
-    request counters, so pure-v1 traffic keeps byte-identical
-    counters and stats.
+    {2 Batches}
 
     A batch request ([batch_adi] / [batch_order] / [batch_atpg]) runs
     each parameter set through {e exactly} the single-op path, in
     request order, each item under its own budget and its own error
     capture — so every item's result object is byte-identical to the
-    reply of the equivalent v1 op, and one bad item never poisons its
+    reply of the equivalent single op, and one bad item never poisons its
     siblings.  The batch counts as one request; per-item cache
     outcomes still feed the cache hit/miss counters.
 
@@ -71,32 +64,21 @@ val create :
 
 val store : t -> Store.t
 val requests : t -> int
-(** Requests handled so far (including failed ones; [hello] excluded). *)
+(** Requests handled so far (including failed ones). *)
 
 val shed_count : t -> int
 (** Requests refused by admission control so far. *)
 
-(** {2 Connection state} *)
-
-type conn
-(** Per-connection protocol state: the negotiated version. *)
-
-val new_conn : unit -> conn
-(** A fresh connection, at protocol v1 until a [hello] negotiates up. *)
-
-val conn_version : conn -> Protocol.version
-
 (** {2 Request handling} *)
 
-val handle : t -> ?conn:conn -> Protocol.request -> Protocol.response
-(** Never raises; see the module doc for the op and error schemas.
-    [conn] defaults to a fresh v1 connection. *)
+val handle : t -> Protocol.request -> Protocol.response
+(** Never raises; see the module doc for the op and error schemas. *)
 
-val handle_frame : t -> ?conn:conn -> string -> string * [ `Continue | `Shutdown ]
+val handle_frame : t -> string -> string * [ `Continue | `Shutdown ]
 (** Decode one frame payload, {!handle} it, encode the reply.
     Malformed JSON yields an [E-protocol] error reply with id 0; an
-    unknown op echoes the request id and names [conn]'s negotiated
-    version.  The directive tells the server loop whether this request
+    unknown op echoes the request id and lists every known op.  The
+    directive tells the server loop whether this request
     asked the service to stop. *)
 
 val shed_frame : t -> string -> string
@@ -105,8 +87,7 @@ val shed_frame : t -> string -> string
     counter and the [service.shed] metric.  The handler never runs. *)
 
 val backend : t -> Server.backend
-(** Package this session as a {!Server.backend}: each accepted
-    connection gets its own {!conn}, frames route through
+(** Package this session as a {!Server.backend}: frames route through
     {!handle_frame}, sheds through {!shed_frame}, and the server's
     observability hooks feed the session's metrics. *)
 

@@ -2,9 +2,6 @@ type 'a t = { mutable size : int; mutable keys : int array; mutable data : 'a ar
 
 let create () = { size = 0; keys = [||]; data = [||] }
 
-let length t = t.size
-let is_empty t = t.size = 0
-
 (* Max-heap order: higher key first; ties -> smaller payload first. *)
 let above t i j =
   t.keys.(i) > t.keys.(j)
@@ -64,5 +61,3 @@ let pop t =
     end;
     Some (k, v)
   end
-
-let peek t = if t.size = 0 then None else Some (t.keys.(0), t.data.(0))

@@ -10,17 +10,9 @@ type 'a t
 
 val create : unit -> 'a t
 
-val length : 'a t -> int
-(** Number of stored entries (including stale duplicates pushed by the
-    lazy-deletion discipline). *)
-
-val is_empty : 'a t -> bool
-
 val push : 'a t -> key:int -> 'a -> unit
 (** Insert an entry.  O(log n). *)
 
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the max-key entry; among equal keys the entry
     with the smaller payload (polymorphic compare) wins.  O(log n). *)
-
-val peek : 'a t -> (int * 'a) option

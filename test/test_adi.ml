@@ -206,12 +206,22 @@ let dynamic_first_pick_is_max_adi =
   let max_adi = Array.fold_left max 0 adi.Adi_index.adi in
   max_adi = 0 || adi.Adi_index.adi.(o.(0)) = max_adi
 
+(* Exactly the names [to_string] prints: no reversed spellings, no
+   case folding, and --order reports anything else as E-flag. *)
 let ordering_names_roundtrip () =
   List.iter
     (fun k ->
       check Alcotest.bool "roundtrip" true (Ordering.of_string (Ordering.to_string k) = Some k))
     Ordering.all;
-  check Alcotest.bool "unknown" true (Ordering.of_string "bogus" = None)
+  List.iter
+    (fun name ->
+      check Alcotest.bool ("unknown " ^ name) true (Ordering.of_string name = None);
+      match Run_flags.with_order_name name Run_config.default with
+      | exception Util.Diagnostics.Failed d ->
+          check Alcotest.bool ("--order " ^ name ^ " is E-flag") true
+            (d.Util.Diagnostics.code = Util.Diagnostics.Invalid_flag)
+      | _ -> Alcotest.failf "--order %s accepted" name)
+    [ "bogus"; "dynm0"; "decr0"; "DYNM"; "0Dynm" ]
 
 (* --- pipeline ------------------------------------------------------ *)
 

@@ -510,11 +510,11 @@ let client_rides_through_chaos_byte_identical () =
     ~finally:(fun () -> Service.Client.close client)
     (fun () ->
       for _ = 1 to 10 do
-        match Service.Client.request client "adi" params with
+        match Service.Client.adi client params with
         | Ok j ->
             check Alcotest.string "byte-identical under chaos" expected
               (Json.to_string (strip_cached j))
-        | Error e -> Alcotest.fail ("typed error under chaos: " ^ e.Service.Protocol.message)
+        | Error d -> Alcotest.fail ("typed error under chaos: " ^ D.to_string d)
       done;
       F.clear ())
 
@@ -526,10 +526,9 @@ let client_deadline_is_typed () =
   Fun.protect
     ~finally:(fun () -> Service.Client.close client)
     (fun () ->
-      (match Service.Client.request client ~timeout_s:0.05 "stats" [] with
-      | exception D.Failed d ->
-          check Alcotest.bool "typed E-budget" true (d.D.code = D.Budget_expired)
-      | _ -> Alcotest.fail "deadline did not expire");
+      (match Service.Client.stats client ~timeout_s:0.05 () with
+      | Error d -> check Alcotest.bool "typed E-budget" true (d.D.code = D.Budget_expired)
+      | Ok _ -> Alcotest.fail "deadline did not expire");
       F.clear ())
 
 let admission_control_sheds_typed () =
@@ -542,11 +541,10 @@ let admission_control_sheds_typed () =
     Fun.protect
       ~finally:(fun () -> Service.Client.close c)
       (fun () ->
-        match Service.Client.request c ~timeout_s:10.0 "stats" [] with
+        match Service.Client.stats c ~timeout_s:10.0 () with
         | Ok _ -> `Ok
-        | Error _ -> `Err
-        | exception D.Failed d when d.D.code = D.Overload -> `Shed
-        | exception D.Failed _ -> `Err)
+        | Error d when d.D.code = D.Overload -> `Shed
+        | Error _ -> `Err)
   in
   let doms = Array.init 4 (fun _ -> Domain.spawn attempt) in
   let rs = Array.map Domain.join doms in
@@ -564,9 +562,7 @@ let overloaded_retrier_eventually_wins () =
     Fun.protect
       ~finally:(fun () -> Service.Client.close c)
       (fun () ->
-        match Service.Client.request c "stats" [] with
-        | Ok _ -> true
-        | Error _ | (exception D.Failed _) -> false)
+        Result.is_ok (Service.Client.stats c ()))
   in
   let doms = Array.init 4 (fun _ -> Domain.spawn attempt) in
   let rs = Array.map Domain.join doms in
@@ -585,9 +581,9 @@ let lane_death_keeps_serving_and_cleans_up () =
         ~finally:(fun () -> Service.Client.close client)
         (fun () ->
           for _ = 1 to 6 do
-            match Service.Client.request client "stats" [] with
+            match Service.Client.stats client () with
             | Ok _ -> ()
-            | Error e -> Alcotest.fail e.Service.Protocol.message
+            | Error d -> Alcotest.fail (D.to_string d)
           done);
       (* Idle lanes hit the accept failpoint once per poll interval, so
          with the fault still armed restarts accumulate at a steady
@@ -609,7 +605,7 @@ let health_reports_runtime () =
   Fun.protect
     ~finally:(fun () -> Service.Client.close client)
     (fun () ->
-      match Service.Client.request client "health" [] with
+      match Service.Client.health client () with
       | Ok (Json.Obj fields) ->
           List.iter
             (fun k -> check Alcotest.bool ("health has " ^ k) true (List.mem_assoc k fields))
@@ -619,7 +615,7 @@ let health_reports_runtime () =
           check Alcotest.bool "workers echoed" true
             (List.assoc "workers" fields = Json.Int 2)
       | Ok _ -> Alcotest.fail "health reply is not an object"
-      | Error e -> Alcotest.fail e.Service.Protocol.message)
+      | Error d -> Alcotest.fail (D.to_string d))
 
 (* --- registration -------------------------------------------------- *)
 

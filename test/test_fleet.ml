@@ -1,8 +1,8 @@
-(* Tests for protocol v2 and the fleet layer: hello negotiation,
-   batch ops (qcheck properties: request order preserved, every item
-   byte-identical to the equivalent sequential v1 op, across cold and
-   warm caches and jobs=1 vs jobs=4), the client's out-of-order
-   pipelining, the shared write-through spill store, the router's
+(* Tests for batch ops and the fleet layer: batch ops (qcheck
+   properties: request order preserved, every item byte-identical to
+   the equivalent sequential single op, across cold and warm caches
+   and jobs=1 vs jobs=4), the client's wire traffic (a batch is one
+   frame, replies are matched out of order), the shared write-through spill store, the router's
    consistent-hash ring (cache affinity, minimal rehash on death,
    revival restores the mapping), and an end-to-end router fleet with
    a worker kill and failover. *)
@@ -31,56 +31,6 @@ let with_temp_dir f =
         Sys.rmdir dir
       end)
     (fun () -> f dir)
-
-(* ---------- protocol negotiation ---------------------------------- *)
-
-let hello_negotiates_highest_common () =
-  let t = Session.create ~capacity:2 () in
-  let conn = Session.new_conn () in
-  check Alcotest.int "fresh connections speak v1" Protocol.v1 (Session.conn_version conn);
-  (match
-     (Session.handle t ~conn { Protocol.id = 1; call = Protocol.Hello [ 1; 2; 9 ] })
-       .Protocol.payload
-   with
-  | Ok (Protocol.Welcome { version; versions; server }) ->
-      check Alcotest.int "negotiated the highest common version" Protocol.v2 version;
-      Alcotest.(check (list int)) "server advertises what it speaks"
-        Protocol.supported_versions versions;
-      check Alcotest.string "server identifies itself" Util.Version.version server
-  | _ -> Alcotest.fail "expected a welcome");
-  check Alcotest.int "connection upgraded" Protocol.v2 (Session.conn_version conn);
-  (* No overlap: a typed refusal, and the connection stays at v1. *)
-  let conn2 = Session.new_conn () in
-  (match
-     (Session.handle t ~conn:conn2 { Protocol.id = 2; call = Protocol.Hello [ 99 ] })
-       .Protocol.payload
-   with
-  | Error e -> check Alcotest.string "typed refusal" "E-protocol" e.Protocol.code
-  | Ok _ -> Alcotest.fail "expected a version-mismatch error");
-  check Alcotest.int "failed hello leaves v1" Protocol.v1 (Session.conn_version conn2);
-  (* Handshakes are connection setup, not work. *)
-  check Alcotest.int "hello never counts as a request" 0 (Session.requests t)
-
-let unknown_op_names_negotiated_version () =
-  let t = Session.create ~capacity:2 () in
-  let conn = Session.new_conn () in
-  ignore (Session.handle t ~conn { Protocol.id = 1; call = Protocol.Hello [ 1; 2 ] });
-  let reply, _ =
-    Session.handle_frame t ~conn
-      (Json.to_string (Json.Obj [ ("id", Json.Int 5); ("op", Json.Str "nope") ]))
-  in
-  match Result.bind (Json.of_string reply) Protocol.response_of_json with
-  | Ok { Protocol.id = 5; payload = Error e } ->
-      let contains msg sub =
-        let n = String.length msg and m = String.length sub in
-        let rec scan i = i + m <= n && (String.sub msg i m = sub || scan (i + 1)) in
-        scan 0
-      in
-      Alcotest.(check bool) "error names protocol v2" true
-        (contains e.Protocol.message "protocol v2");
-      Alcotest.(check bool) "error lists the batch ops" true
-        (contains e.Protocol.message "batch_adi")
-  | _ -> Alcotest.fail "expected an unknown-op error echoing id 5"
 
 (* ---------- batch ops: qcheck properties -------------------------- *)
 
@@ -112,8 +62,8 @@ let arb_batch =
         (String.concat "; " (List.map (fun ps -> Json.to_string (Json.Obj ps)) items)))
     batch_gen
 
-let batch_replies t ?conn op items =
-  match (Session.handle t ?conn { Protocol.id = 1; call = Protocol.Batch (op, items) })
+let batch_replies t op items =
+  match (Session.handle t { Protocol.id = 1; call = Protocol.Batch (op, items) })
           .Protocol.payload
   with
   | Ok (Protocol.Batch_replies rs) -> rs
@@ -132,9 +82,9 @@ let strip_cached = function
   | r -> r
 
 (* One batch against a fresh session must equal the same ops sent
-   sequentially as v1 singles to another fresh session — byte for
+   sequentially as single ops to another fresh session — byte for
    byte, cached flags included, in request order. *)
-let batch_equals_sequential_v1 =
+let batch_equals_sequential =
   QCheck.Test.make ~name:"batch items = sequential v1 ops, byte-identical" ~count:6 arb_batch
     (fun (op, items) ->
       let batch_t = Session.create ~capacity:4 ~jobs:1 () in
@@ -178,51 +128,59 @@ let batch_isolates_bad_items () =
 
 (* ---------- client pipelining ------------------------------------- *)
 
-(* A hand-rolled server that answers one connection's N requests in
-   reverse order — the client must still return replies in request
-   order by matching ids. *)
-let pipeline_reorders_replies () =
+(* Run [serve] on the one connection a fresh client makes to a
+   hand-rolled server, and [f] on that client.  The client is closed
+   before the server is joined, so [serve] may read until EOF. *)
+let with_fake_server ~serve f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "adi-pipe-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
+      (Printf.sprintf "adi-fake-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
   in
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listener (Unix.ADDR_UNIX path);
   Unix.listen listener 1;
-  let n = 3 in
   let server =
     Domain.spawn (fun () ->
         let fd, _ = Unix.accept listener in
-        let reqs = List.init n (fun _ -> Option.get (Protocol.read_frame fd)) in
-        let ids =
-          List.map
-            (fun payload ->
-              match Json.of_string payload with
-              | Error _ -> Alcotest.fail "server got a malformed frame"
-              | Ok json -> (
-                  match Protocol.request_of_json json with
-                  | Ok (req : Protocol.request) -> req.Protocol.id
-                  | Error _ -> Alcotest.fail "server got a malformed frame"))
-            reqs
-        in
-        List.iter
-          (fun id ->
-            Protocol.write_frame fd
-              (Json.to_string
-                 (Protocol.response_to_json
-                    { Protocol.id;
-                      payload = Ok (Protocol.Result (Json.Obj [ ("echo", Json.Int id) ])) })))
-          (List.rev ids);
-        Unix.close fd;
-        ids)
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> serve fd))
   in
   let client = Client.create (Server.Unix_socket path) in
-  let calls = List.init n (fun _ -> Protocol.Single (Protocol.Stats, [])) in
-  let replies = Client.pipeline client calls in
-  let ids = Domain.join server in
+  let result = Fun.protect ~finally:(fun () -> Client.close client) (fun () -> f client) in
+  let served = Domain.join server in
   Unix.close listener;
   Sys.remove path;
-  Client.close client;
+  (result, served)
+
+(* A hand-rolled server that answers one connection's N requests in
+   reverse order — the client must still return replies in request
+   order by matching ids. *)
+let pipeline_reorders_replies () =
+  let n = 3 in
+  let serve fd =
+    let reqs = List.init n (fun _ -> Option.get (Protocol.read_frame fd)) in
+    let ids =
+      List.map
+        (fun payload ->
+          match Json.of_string payload with
+          | Error _ -> Alcotest.fail "server got a malformed frame"
+          | Ok json -> (
+              match Protocol.request_of_json json with
+              | Ok (req : Protocol.request) -> req.Protocol.id
+              | Error _ -> Alcotest.fail "server got a malformed frame"))
+        reqs
+    in
+    List.iter
+      (fun id ->
+        Protocol.write_frame fd
+          (Json.to_string
+             (Protocol.response_to_json
+                { Protocol.id;
+                  payload = Ok (Protocol.Result (Json.Obj [ ("echo", Json.Int id) ])) })))
+      (List.rev ids);
+    ids
+  in
+  let calls = List.init n (fun _ -> Protocol.Single (Protocol.Stats, [])) in
+  let replies, ids = with_fake_server ~serve (fun client -> Client.pipeline client calls) in
   let echoed =
     List.map
       (function
@@ -231,6 +189,46 @@ let pipeline_reorders_replies () =
       replies
   in
   Alcotest.(check (list int)) "replies in request order despite reversed delivery" ids echoed
+
+(* A hand-rolled server that records every frame a fresh client sends
+   and answers each through a real session: a batch must go out as one
+   frame, with no handshake before it.  A "hello" frame is an ordinary
+   unknown op whose error lists the batch ops. *)
+let batch_is_one_frame () =
+  let session = Session.create ~capacity:2 () in
+  let rec serve frames fd =
+    match Protocol.read_frame fd with
+    | None -> List.rev frames
+    | Some payload ->
+        Protocol.write_frame fd (fst (Session.handle_frame session payload));
+        serve (payload :: frames) fd
+  in
+  let reply, frames =
+    with_fake_server ~serve:(serve [])
+      (fun client -> Client.batch client Protocol.Adi [ [ ("circuit", Json.Str "c17") ] ])
+  in
+  (match reply with
+  | Ok [ Ok _ ] -> ()
+  | _ -> Alcotest.fail "the batch did not come back with one ok item");
+  let op_of payload =
+    Option.bind (Result.to_option (Json.of_string payload)) (fun j ->
+        Option.bind (Json.member "op" j) Json.to_str)
+  in
+  check (Alcotest.option Alcotest.string) "first frame is the batch" (Some "batch_adi")
+    (Option.bind (List.nth_opt frames 0) op_of);
+  check Alcotest.int "exactly one frame on the wire" 1 (List.length frames);
+  let reply, _ = Session.handle_frame session {|{"id":5,"op":"hello"}|} in
+  match Result.bind (Json.of_string reply) Protocol.response_of_json with
+  | Ok { Protocol.id = 5; payload = Error e } ->
+      let contains msg sub =
+        let n = String.length msg and m = String.length sub in
+        let rec scan i = i + m <= n && (String.sub msg i m = sub || scan (i + 1)) in
+        scan 0
+      in
+      check Alcotest.string "hello is an unknown op" "E-protocol" e.Protocol.code;
+      Alcotest.(check bool) "error lists the batch ops" true
+        (contains e.Protocol.message "batch_adi")
+  | _ -> Alcotest.fail "expected an unknown-op error echoing id 5"
 
 (* ---------- shared write-through spill ---------------------------- *)
 
@@ -357,7 +355,7 @@ let router_fleet_end_to_end () =
       Domain.join d0;
       Domain.join d1)
     (fun () ->
-      (* A v2 batch through the router: in order, byte-identical. *)
+      (* A batch through the router: in order, byte-identical. *)
       (match Client.batch client Protocol.Adi [ params "c17"; params "lion" ] with
       | Ok [ r1; r2 ] ->
           check Alcotest.string "batch item 1 byte-identical" want_c17
@@ -405,13 +403,12 @@ let () =
   Random.self_init ();
   Alcotest.run "fleet"
     [ ( "protocol-v2",
-        [ Alcotest.test_case "hello negotiation" `Quick hello_negotiates_highest_common;
-          Alcotest.test_case "unknown op names version" `Quick unknown_op_names_negotiated_version;
-          Alcotest.test_case "batch isolates bad items" `Quick batch_isolates_bad_items;
-          qtest batch_equals_sequential_v1;
+        [ Alcotest.test_case "batch isolates bad items" `Quick batch_isolates_bad_items;
+          qtest batch_equals_sequential;
           qtest batch_warm_and_jobs_identical ] );
       ( "client",
-        [ Alcotest.test_case "pipeline reorders replies" `Quick pipeline_reorders_replies ] );
+        [ Alcotest.test_case "pipeline reorders replies" `Quick pipeline_reorders_replies;
+          Alcotest.test_case "batch is one frame" `Quick batch_is_one_frame ] );
       ( "store",
         [ Alcotest.test_case "shared write-through spill" `Quick shared_spill_seeds_sibling_workers ] );
       ( "ring",

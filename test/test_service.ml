@@ -202,8 +202,8 @@ let error_code resp =
 let session_error_taxonomy () =
   let t = Session.create ~capacity:2 () in
   let req op params = Protocol.single op params in
-  (* Unknown ops can no longer be expressed as a typed request; they
-     are rejected at frame decode, naming the negotiated version. *)
+  (* Unknown ops cannot be expressed as a typed request; they are
+     rejected at frame decode, listing every known op. *)
   (let reply, _ =
      Session.handle_frame t
        (Json.to_string (Json.Obj [ ("id", Json.Int 1); ("op", Json.Str "frobnicate") ]))
@@ -211,12 +211,10 @@ let session_error_taxonomy () =
    match Result.bind (Json.of_string reply) Protocol.response_of_json with
    | Ok { Protocol.payload = Error e; _ } ->
        check Alcotest.string "unknown op" "E-protocol" e.Protocol.code;
-       Alcotest.(check bool) "message names the protocol version" true
-         (let msg = e.Protocol.message in
-          let sub = "protocol v1" in
-          let n = String.length msg and m = String.length sub in
-          let rec scan i = i + m <= n && (String.sub msg i m = sub || scan (i + 1)) in
-          scan 0)
+       check Alcotest.string "message lists the known ops"
+         "unknown op \"frobnicate\" (expected one of: load, adi, order, atpg, diagnose, stats, \
+          health, evict, shutdown, batch_adi, batch_order, batch_atpg, batch_diagnose)"
+         e.Protocol.message
    | _ -> Alcotest.fail "expected an unknown-op error reply");
   check Alcotest.string "missing circuit" "E-protocol" (error_code (Session.handle t (req "load" [])));
   check Alcotest.string "mistyped parameter" "E-protocol"
@@ -526,9 +524,8 @@ let malformed_frame_rejected =
 let unknown_op_rejected =
   raw_frame_rejected {|{"id":9,"op":"frobnicate"}|}
     ~message:
-      "unknown op \"frobnicate\" (protocol v1; expected one of: load, adi, order, atpg, \
-       diagnose, stats, health, evict, shutdown, hello, batch_adi, batch_order, batch_atpg, \
-       batch_diagnose)"
+      "unknown op \"frobnicate\" (expected one of: load, adi, order, atpg, diagnose, stats, \
+       health, evict, shutdown, batch_adi, batch_order, batch_atpg, batch_diagnose)"
 
 (* ------------------------------------------------------------------ *)
 

@@ -308,13 +308,6 @@ let heap_tie_break () =
   check Alcotest.(option (pair int string)) "then larger" (Some (5, "b")) (Heap.pop h);
   check Alcotest.(option (pair int string)) "empty" None (Heap.pop h)
 
-let heap_peek () =
-  let h = Heap.create () in
-  check Alcotest.bool "empty" true (Heap.is_empty h);
-  Heap.push h ~key:1 0;
-  check Alcotest.(option (pair int int)) "peek" (Some (1, 0)) (Heap.peek h);
-  check Alcotest.int "length" 1 (Heap.length h)
-
 (* --- Table -------------------------------------------------------- *)
 
 let table_render () =
@@ -484,7 +477,6 @@ let () =
       ( "heap",
         [
           Alcotest.test_case "tie break" `Quick heap_tie_break;
-          Alcotest.test_case "peek/length" `Quick heap_peek;
           qtest heap_pops_sorted;
         ] );
       ( "table",
