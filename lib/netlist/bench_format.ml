@@ -179,15 +179,20 @@ let parse_core ~recover ?file ~title text =
        [to_string] output — round-trips with identical node ids. *)
     let file_pos = Hashtbl.create 64 in
     List.iteri (fun i n -> Hashtbl.replace file_pos n i) def_order;
-    let ready : string Util.Heap.t = Util.Heap.create () in
-    let push n = Util.Heap.push ready ~key:(-Hashtbl.find file_pos n) n in
+    let name_at = Array.of_list def_order in
+    let ready = Util.Heap.create () in
+    let push n =
+      let pos = Hashtbl.find file_pos n in
+      Util.Heap.push ready ~key:(-pos) pos
+    in
     List.iter (fun n -> if Hashtbl.find indeg n = 0 then push n) def_order;
     let order = ref [] in
     let emitted = ref 0 in
     let rec drain () =
       match Util.Heap.pop ready with
       | None -> ()
-      | Some (_, n) ->
+      | Some (_, pos) ->
+          let n = name_at.(pos) in
           order := n :: !order;
           incr emitted;
           List.iter

@@ -121,45 +121,29 @@ let with_retry t ?timeout_s f =
   Retry.run ~clock:t.clock ~sleep:t.sleep ~rng:t.rng ~on_retry:(note_retry t)
     (policy_for t timeout_s) ~retryable:transient f
 
-(* One attempt: send, await.  Any failure leaves the stream in an
-   unknown state (a stale reply could otherwise answer the next
-   request), so the connection is dropped before the retry. *)
-let attempt_exchange t payload ~budget =
+(* One attempt: send, await, decode, match the id.  Any failure leaves
+   the stream in an unknown state (a stale reply could otherwise answer
+   the next request), so the connection is dropped before the retry. *)
+let exchange t ~budget ~id payload =
   let fd = ensure_connected t in
-  try
-    Protocol.write_frame fd payload;
-    await_reply fd ~budget
-  with e ->
-    close t;
-    raise e
-
-(* --- reply decoding ----------------------------------------------- *)
-
-let decode_response t reply =
-  match Result.bind (Json.of_string reply) Protocol.response_of_json with
-  | Error msg ->
+  let resp =
+    try
+      Protocol.write_frame fd payload;
+      match Result.bind (Json.of_string (await_reply fd ~budget)) Protocol.response_of_json with
+      | Error msg -> Diagnostics.fail Diagnostics.Protocol "unreadable reply: %s" msg
+      | Ok resp when resp.Protocol.id <> id ->
+          Diagnostics.fail Diagnostics.Protocol "reply id %d does not match request id %d"
+            resp.Protocol.id id
+      | Ok resp -> resp
+    with e ->
       close t;
-      Diagnostics.fail Diagnostics.Protocol "unreadable reply: %s" msg
-  | Ok resp -> resp
-
-let check_reply_id t ~id resp =
-  if resp.Protocol.id <> id then begin
-    close t;
-    Diagnostics.fail Diagnostics.Protocol "reply id %d does not match request id %d"
-      resp.Protocol.id id
-  end
-
-(* A shed reply is a backoff signal, not an answer. *)
-let overload_to_exn = function
+      raise e
+  in
+  (* A shed reply is a backoff signal, not an answer. *)
+  match resp.Protocol.payload with
   | Error e when e.Protocol.code = Diagnostics.code_string Diagnostics.Overload ->
       Diagnostics.fail Diagnostics.Overload "%s" e.Protocol.message
   | payload -> payload
-
-(* One full request-reply exchange on the current connection. *)
-let exchange t ~budget ~id payload =
-  let resp = decode_response t (attempt_exchange t payload ~budget) in
-  check_reply_id t ~id resp;
-  overload_to_exn resp.Protocol.payload
 
 (* --- the generic entry points ------------------------------------- *)
 
@@ -202,44 +186,3 @@ let batch t ?timeout_s op items =
   | Ok (Protocol.Batch_replies rs) -> Ok rs
   | Ok _ -> unexpected_shape ("batch_" ^ Protocol.op_name op)
   | Error d -> Error d
-
-(* --- pipelining --------------------------------------------------- *)
-
-(* Send every call up front, then match replies by id in whatever
-   order the peer produces them.  Replies already received survive a
-   mid-stream reconnect: only the unanswered calls are resent (safe:
-   every op is idempotent). *)
-let pipeline t ?timeout_s calls =
-  match calls with
-  | [] -> []
-  | _ ->
-      let ids = List.map (fun call -> (fresh_id t, call)) calls in
-      let results : (int, (Protocol.reply, Protocol.error) result) Hashtbl.t =
-        Hashtbl.create (List.length ids)
-      in
-      with_retry t ?timeout_s (fun ~attempt:_ ~budget ->
-          let pending = List.filter (fun (id, _) -> not (Hashtbl.mem results id)) ids in
-          let fd = ensure_connected t in
-          try
-            List.iter
-              (fun (id, call) ->
-                Protocol.write_frame fd
-                  (Json.to_string (Protocol.request_to_json { Protocol.id; call })))
-              pending;
-            let remaining = ref (List.length pending) in
-            while !remaining > 0 do
-              let resp = decode_response t (await_reply fd ~budget) in
-              if
-                (not (List.mem_assoc resp.Protocol.id ids))
-                || Hashtbl.mem results resp.Protocol.id
-              then begin
-                close t;
-                Diagnostics.fail Diagnostics.Protocol "unexpected reply id %d" resp.Protocol.id
-              end;
-              Hashtbl.replace results resp.Protocol.id (overload_to_exn resp.Protocol.payload);
-              decr remaining
-            done
-          with e ->
-            close t;
-            raise e);
-      List.map (fun (id, _) -> Hashtbl.find results id) ids

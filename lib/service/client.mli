@@ -72,17 +72,6 @@ val call_exn :
     on deadline expiry, or [Overload] if the server shed every
     attempt. *)
 
-val pipeline :
-  t ->
-  ?timeout_s:float ->
-  Protocol.call list ->
-  (Protocol.reply, Protocol.error) result list
-(** Send every call up front on one connection, then collect replies
-    matched by id {e in any order}, returning them in request order.
-    On a mid-stream transport failure only the unanswered calls are
-    resent.
-    @raise Util.Diagnostics.Failed as {!call_exn}. *)
-
 (** {2 Per-op wrappers} *)
 
 val single :

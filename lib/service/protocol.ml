@@ -173,6 +173,46 @@ let diagnostic_of_error e =
   | None ->
       Diagnostics.make Diagnostics.Protocol (Printf.sprintf "%s [%s]" e.message e.code)
 
+(* --- answering frames ---------------------------------------------- *)
+
+let protocol_error id message =
+  { id; payload = Error { code = Diagnostics.code_string Diagnostics.Protocol; message } }
+
+(* A frame's request, or the typed E-protocol reply it earns instead. *)
+let decode_frame payload =
+  let decoded =
+    match Json.of_string payload with
+    | Error msg -> Error (Malformed msg)
+    | Ok json -> request_of_json json
+  in
+  match decoded with
+  | Ok req -> Ok req
+  | Error (Malformed msg) -> Error (protocol_error 0 (Printf.sprintf "malformed request: %s" msg))
+  | Error (Unknown_op { id; op }) ->
+      Error
+        (protocol_error id
+           (Printf.sprintf "unknown op %S (expected one of: %s)" op (String.concat ", " ops)))
+
+let answer_frame ~rejected handle payload =
+  let response, directive =
+    match decode_frame payload with
+    | Error response ->
+        rejected ();
+        (response, `Continue)
+    | Ok req -> (
+        let response = handle req in
+        match (req.call, response.payload) with
+        | Single (Shutdown, _), Ok _ -> (response, `Shutdown)
+        | _ -> (response, `Continue))
+  in
+  (Json.to_string (response_to_json response), directive)
+
+let shed_reply ~message payload =
+  let id = match decode_frame payload with Ok req -> req.id | Error response -> response.id in
+  Json.to_string
+    (response_to_json
+       { id; payload = Error { code = Diagnostics.code_string Diagnostics.Overload; message } })
+
 (* --- framing ------------------------------------------------------ *)
 
 let max_frame_bytes = 64 * 1024 * 1024

@@ -7,9 +7,8 @@
     round trip.  The batch ops ([batch_adi] / [batch_order] /
     [batch_atpg] / [batch_diagnose]) carry many circuits or
     configurations in one round trip, replies in request order.
-    Request [id]s make every reply attributable, so a client may
-    pipeline several frames over one connection and match replies by
-    [id] in any order.  Unknown ops come back as a typed [E-protocol]
+    Request [id]s make every reply attributable: a reply echoes the
+    [id] of the request it answers.  Unknown ops come back as a typed [E-protocol]
     error listing every op the server speaks.
 
     {2 Framing}
@@ -105,6 +104,29 @@ val error_of_diagnostic : Util.Diagnostics.t -> error
 val diagnostic_of_error : error -> Util.Diagnostics.t
 (** Recover a typed diagnostic from a wire error; an unknown code slug
     maps to [Protocol] with the slug preserved in the message. *)
+
+(** {1 Answering frames}
+
+    The one frame path every server backend shares: decode, reply,
+    encode. *)
+
+val answer_frame :
+  rejected:(unit -> unit) ->
+  (request -> response) ->
+  string ->
+  string * [ `Continue | `Shutdown ]
+(** [answer_frame ~rejected handle payload] decodes one frame payload,
+    runs [handle] on the request and encodes its reply.  A payload that
+    is not JSON or not a request gets an [E-protocol] reply with id 0;
+    an unknown op gets one that echoes the request id and lists every
+    known op; both call [rejected] (to count a failed request) instead
+    of [handle].  The directive is [`Shutdown] exactly when a
+    [shutdown] request was answered with success. *)
+
+val shed_reply : message:string -> string -> string
+(** The reply to a frame that admission control refused: an
+    [E-overload] error carrying [message], echoing the request id (0
+    when the payload does not decode far enough to carry one). *)
 
 (** {1 Framing} *)
 

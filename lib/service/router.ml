@@ -124,12 +124,15 @@ let probe_policy t =
     attempt_budget_s = Some t.probe_timeout_s;
     overall_budget_s = Some (2.0 *. t.probe_timeout_s) }
 
-let with_worker_client t w f =
-  let client = Client.create ~policy:(probe_policy t) ~clock:t.clock t.addresses.(w) in
+(* Every router->worker exchange gets its own short-lived client, so a
+   router lane holds a worker lane only while its own forward is in
+   flight — never while it waits on another worker. *)
+let with_worker_client t ~policy w f =
+  let client = Client.create ~policy ~clock:t.clock t.addresses.(w) in
   Fun.protect ~finally:(fun () -> Client.close client) (fun () -> f client)
 
 let probe_worker t w =
-  with_worker_client t w (fun client ->
+  with_worker_client t ~policy:(probe_policy t) w (fun client ->
       match Client.health client () with Ok _ -> true | Error _ -> false)
 
 let probe t =
@@ -138,33 +141,11 @@ let probe t =
 let drain_fleet t =
   Array.iteri
     (fun w _ ->
-      with_worker_client t w (fun client ->
+      with_worker_client t ~policy:(probe_policy t) w (fun client ->
           ignore (Client.shutdown client () : (Json.t, Diagnostics.t) result)))
     t.addresses
 
 (* --- forwarding ---------------------------------------------------- *)
-
-(* Per-connection state: one lazy downstream connection per worker (so
-   a pipelining client keeps its worker connections warm, and a
-   disconnect releases them all). *)
-type conn = { router : t; clients : (int, Client.t) Hashtbl.t }
-
-let new_conn t = { router = t; clients = Hashtbl.create 4 }
-
-let client_for conn w =
-  match Hashtbl.find_opt conn.clients w with
-  | Some client -> client
-  | None ->
-      let client =
-        Client.create ~policy:conn.router.policy ~clock:conn.router.clock
-          conn.router.addresses.(w)
-      in
-      Hashtbl.add conn.clients w client;
-      client
-
-let disconnect conn =
-  Hashtbl.iter (fun _ client -> Client.close client) conn.clients;
-  Hashtbl.reset conn.clients
 
 exception Worker_down of int * Diagnostics.t
 
@@ -173,10 +154,9 @@ exception Worker_down of int * Diagnostics.t
    worker is gone.  A deadline or shed exhaustion is neither: the
    worker is alive but saturated, so it surfaces as a typed error
    without poisoning the ring. *)
-let forward conn w call =
-  let client = client_for conn w in
-  locked conn.router (fun () -> conn.router.sent.(w) <- conn.router.sent.(w) + 1);
-  match Client.call_exn client call with
+let forward t w call =
+  locked t (fun () -> t.sent.(w) <- t.sent.(w) + 1);
+  match with_worker_client t ~policy:t.policy w (fun client -> Client.call_exn client call) with
   | (Ok _ | Error _) as reply -> reply
   | exception Diagnostics.Failed d -> (
       match d.Diagnostics.code with
@@ -214,8 +194,7 @@ let rec pick t key ~probed =
       pick t key ~probed:true
   | None -> None
 
-let rec route_single conn op params ~attempts =
-  let t = conn.router in
+let rec route_single t op params ~attempts =
   if attempts > Array.length t.addresses then Error (no_live_error t)
   else
     let key = routing_key params in
@@ -223,18 +202,17 @@ let rec route_single conn op params ~attempts =
     | None -> Error (no_live_error t)
     | Some w -> (
         Option.iter (fun k -> note_affinity t k w) key;
-        try forward conn w (Protocol.Single (op, params))
+        try forward t w (Protocol.Single (op, params))
         with Worker_down (w, _) ->
           mark_down t w;
-          route_single conn op params ~attempts:(attempts + 1))
+          route_single t op params ~attempts:(attempts + 1))
 
 (* A batch splits by target worker (each group keeps request order),
    forwards one sub-batch per worker, and reassembles per-item replies
    by original index.  A group whose worker dies mid-flight re-routes
    through the (now updated) ring, so one death degrades to a failover
    rather than a batch-wide error. *)
-let route_batch conn op items =
-  let t = conn.router in
+let route_batch t op items =
   let arr = Array.of_list items in
   let out = Array.make (Array.length arr) (Error (no_live_error t)) in
   let rec place idxs ~attempts =
@@ -262,7 +240,7 @@ let route_batch conn op items =
           (fun w rev_idxs ->
             let group = List.rev rev_idxs in
             let sub = List.map (fun i -> arr.(i)) group in
-            match forward conn w (Protocol.Batch (op, sub)) with
+            match forward t w (Protocol.Batch (op, sub)) with
             | Ok (Protocol.Batch_replies replies) when List.length replies = List.length group ->
                 List.iter2 (fun i reply -> out.(i) <- reply) group replies
             | Ok _ ->
@@ -284,25 +262,23 @@ let route_batch conn op items =
 
 (* --- fleet-level ops ----------------------------------------------- *)
 
-(* Fan one op out to every configured worker through this connection's
-   clients, collecting per-worker outcomes in configuration order. *)
-let fan_out conn call =
-  let t = conn.router in
+(* Fan one op out to every configured worker, collecting per-worker
+   outcomes in configuration order. *)
+let fan_out t call =
   Array.to_list
     (Array.mapi
        (fun w _ ->
          if not t.live.(w) then (w, Error (no_live_error t))
          else
-           match forward conn w call with
+           match forward t w call with
            | reply -> (w, reply)
            | exception Worker_down (w', d) ->
                mark_down t w';
                (w, Error (Protocol.error_of_diagnostic d)))
        t.addresses)
 
-let stats_reply conn =
-  let t = conn.router in
-  let per_worker = fan_out conn (Protocol.Single (Protocol.Stats, [])) in
+let stats_reply t =
+  let per_worker = fan_out t (Protocol.Single (Protocol.Stats, [])) in
   let worker_objs =
     List.map
       (fun (w, outcome) ->
@@ -341,8 +317,8 @@ let health_reply t =
 
 (* Eviction fans out; the shapes mirror a single worker's reply, plus
    how many workers answered. *)
-let evict_reply conn params =
-  let per_worker = fan_out conn (Protocol.Single (Protocol.Evict, params)) in
+let evict_reply t params =
+  let per_worker = fan_out t (Protocol.Single (Protocol.Evict, params)) in
   let answered =
     List.filter_map (function _, Ok (Protocol.Result j) -> Some j | _ -> None) per_worker
   in
@@ -372,11 +348,6 @@ let evict_reply conn params =
 
 (* --- the request handler ------------------------------------------- *)
 
-let protocol_error id message =
-  { Protocol.id;
-    payload =
-      Error { Protocol.code = Diagnostics.code_string Diagnostics.Protocol; message } }
-
 let count_request t ~failed =
   locked t (fun () ->
       t.n_requests <- t.n_requests + 1;
@@ -386,75 +357,29 @@ let count_request t ~failed =
     if failed then Metrics.incr (Trace.counter t.tracer "router.errors")
   end
 
-let handle conn (req : Protocol.request) =
-  let t = conn.router in
+let handle t (req : Protocol.request) =
   let payload =
     match req.Protocol.call with
-    | Protocol.Single (Protocol.Stats, _) -> Ok (Protocol.Result (stats_reply conn))
+    | Protocol.Single (Protocol.Stats, _) -> Ok (Protocol.Result (stats_reply t))
     | Protocol.Single (Protocol.Health, _) -> Ok (Protocol.Result (health_reply t))
-    | Protocol.Single (Protocol.Evict, params) -> Ok (Protocol.Result (evict_reply conn params))
+    | Protocol.Single (Protocol.Evict, params) -> Ok (Protocol.Result (evict_reply t params))
     | Protocol.Single (Protocol.Shutdown, _) ->
         Ok (Protocol.Result (Json.Obj [ ("stopping", Json.Bool true) ]))
-    | Protocol.Single (op, params) -> route_single conn op params ~attempts:0
-    | Protocol.Batch (op, items) -> Ok (Protocol.Batch_replies (route_batch conn op items))
+    | Protocol.Single (op, params) -> route_single t op params ~attempts:0
+    | Protocol.Batch (op, items) -> Ok (Protocol.Batch_replies (route_batch t op items))
   in
   count_request t ~failed:(Result.is_error payload);
   { Protocol.id = req.Protocol.id; payload }
 
-let count_failed_request t = count_request t ~failed:true
-
-let handle_frame t conn payload =
-  let resp, directive =
-    match Result.bind (Json.of_string payload) (fun j -> Ok (Protocol.request_of_json j)) with
-    | Error msg ->
-        count_failed_request t;
-        (protocol_error 0 (Printf.sprintf "malformed request: %s" msg), `Continue)
-    | Ok (Error (Protocol.Malformed msg)) ->
-        count_failed_request t;
-        (protocol_error 0 (Printf.sprintf "malformed request: %s" msg), `Continue)
-    | Ok (Error (Protocol.Unknown_op { id; op })) ->
-        count_failed_request t;
-        ( protocol_error id
-            (Printf.sprintf "unknown op %S (expected one of: %s)" op
-               (String.concat ", " Protocol.ops)),
-          `Continue )
-    | Ok (Ok req) ->
-        let resp = handle conn req in
-        let directive =
-          match resp.Protocol.payload with
-          | Ok (Protocol.Result (Json.Obj fields))
-            when List.assoc_opt "stopping" fields = Some (Json.Bool true) ->
-              `Shutdown
-          | _ -> `Continue
-        in
-        (resp, directive)
-  in
-  (Json.to_string (Protocol.response_to_json resp), directive)
-
-let shed_frame t payload =
+let shed t payload =
   locked t (fun () -> t.n_shed <- t.n_shed + 1);
   if Trace.enabled t.tracer then Metrics.incr (Trace.counter t.tracer "router.shed");
-  let id =
-    match Result.bind (Json.of_string payload) (fun j -> Ok (Protocol.request_of_json j)) with
-    | Ok (Ok req) -> req.Protocol.id
-    | Ok (Error (Protocol.Unknown_op { id; _ })) -> id
-    | Ok (Error (Protocol.Malformed _)) | Error _ -> 0
-  in
-  let resp =
-    { Protocol.id;
-      payload =
-        Error
-          { Protocol.code = Diagnostics.code_string Diagnostics.Overload;
-            message = "router overloaded: request shed before routing" } }
-  in
-  Json.to_string (Protocol.response_to_json resp)
+  Protocol.shed_reply ~message:"router overloaded: request shed before routing" payload
 
 let backend t =
-  { Server.connect =
-      (fun () ->
-        let conn = new_conn t in
-        { Server.handle = handle_frame t conn; disconnect = (fun () -> disconnect conn) });
-    shed = shed_frame t;
+  { Server.handle =
+      Protocol.answer_frame ~rejected:(fun () -> count_request t ~failed:true) (handle t);
+    shed = shed t;
     on_queue_depth = (fun _ -> ());
     on_inflight = (fun _ -> ());
     on_lane_restart = (fun () -> locked t (fun () -> t.lane_restarts <- t.lane_restarts + 1));

@@ -90,6 +90,8 @@ val drain_fleet : t -> unit
     whole-fleet graceful drain.  Never raises. *)
 
 val backend : t -> Server.backend
-(** Package the router as a {!Server.backend}.  Each accepted
-    connection gets its own pool of per-worker downstream connections
-    (closed on disconnect). *)
+(** Package the router as a {!Server.backend}.  Every exchange with a
+    worker — a forward, a batch group, a [stats]/[evict] fan-out leg, a
+    probe, the drain — opens its own worker connection and closes it on
+    the reply, so a router lane never holds one worker's lane while it
+    waits on another. *)

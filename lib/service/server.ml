@@ -8,13 +8,8 @@ let address_to_string = function
 
 type directive = [ `Continue | `Shutdown ]
 
-type connection = {
-  handle : string -> string * directive;
-  disconnect : unit -> unit;
-}
-
 type backend = {
-  connect : unit -> connection;
+  handle : string -> string * directive;
   shed : string -> string;
   on_queue_depth : int -> unit;
   on_inflight : int -> unit;
@@ -125,11 +120,9 @@ let admit t =
 let serve_connection t conn =
   Atomic.incr t.busy;
   t.backend.on_queue_depth (Atomic.get t.busy);
-  let c = t.backend.connect () in
   Fun.protect
     ~finally:(fun () ->
       Atomic.decr t.busy;
-      (try c.disconnect () with _ -> ());
       try Unix.close conn with Unix.Unix_error _ -> ())
     (fun () ->
       let rec exchange () =
@@ -146,7 +139,7 @@ let serve_connection t conn =
                         ~finally:(fun () -> Atomic.decr t.inflight)
                         (fun () ->
                           t.backend.on_inflight (Atomic.get t.inflight);
-                          c.handle payload)
+                          t.backend.handle payload)
                     in
                     Protocol.write_frame conn reply;
                     match directive with

@@ -9,10 +9,10 @@
     dropped by the server itself.
 
     The server knows nothing about request semantics: it is
-    parameterised over a {!backend} — a per-connection handler factory
-    plus observability hooks.  {!Session.backend} plugs a worker's
-    request handling in; {!Router.backend} plugs the fleet router in;
-    tests plug fakes in.
+    parameterised over a {!backend} — one frame handler plus
+    observability hooks, with no per-connection state.
+    {!Session.backend} plugs a worker's request handling in;
+    {!Router.backend} plugs the fleet router in; tests plug fakes in.
 
     {2 Admission control}
 
@@ -44,19 +44,12 @@ val address_to_string : address -> string
 
 type directive = [ `Continue | `Shutdown ]
 
-type connection = {
-  handle : string -> string * directive;
-      (** map one frame payload to one reply payload; must never raise
-          for request-level failures (encode them as error replies) *)
-  disconnect : unit -> unit;
-      (** the peer is gone — release per-connection resources *)
-}
-
 type backend = {
-  connect : unit -> connection;
-      (** called once per accepted connection; per-connection state
-          (e.g. the router's downstream worker clients) lives in the
-          closure *)
+  handle : string -> string * directive;
+      (** map one frame payload to one reply payload, on any lane and
+          any connection; must never raise for request-level failures
+          (encode them as error replies) — see
+          {!Protocol.answer_frame} *)
   shed : string -> string;
       (** admission control refused this frame — build the E-overload
           reply without running the handler *)

@@ -44,19 +44,6 @@ let locked t f =
 let requests t = locked t (fun () -> t.n_requests)
 let shed_count t = locked t (fun () -> t.n_shed)
 
-let set_runtime t f = t.runtime <- f
-
-let observe_queue_depth t depth =
-  locked t (fun () ->
-      Metrics.observe (Trace.histogram t.tracer "service.queue_depth") (float_of_int depth))
-
-let observe_inflight t n =
-  locked t (fun () ->
-      Metrics.observe (Trace.histogram t.tracer "service.inflight") (float_of_int n))
-
-let note_lane_restart t =
-  locked t (fun () -> Metrics.incr (Trace.counter t.tracer "service.lane_restarts"))
-
 (* --- parameter decoding ------------------------------------------- *)
 
 let fail_protocol fmt = Diagnostics.fail Diagnostics.Protocol fmt
@@ -548,66 +535,23 @@ let count_failed_request t =
         Metrics.incr (Trace.counter t.tracer "service.errors")
       end)
 
-let protocol_error_response id message =
-  { Protocol.id;
-    payload =
-      Error { Protocol.code = Diagnostics.code_string Diagnostics.Protocol; message } }
-
-let handle_frame t payload =
-  let response =
-    match Json.of_string payload with
-    | Error msg ->
-        count_failed_request t;
-        protocol_error_response 0 (Printf.sprintf "malformed request: %s" msg)
-    | Ok json -> (
-        match Protocol.request_of_json json with
-        | Error (Protocol.Malformed msg) ->
-            count_failed_request t;
-            protocol_error_response 0 (Printf.sprintf "malformed request: %s" msg)
-        | Error (Protocol.Unknown_op { id; op }) ->
-            count_failed_request t;
-            protocol_error_response id
-              (Printf.sprintf "unknown op %S (expected one of: %s)" op
-                 (String.concat ", " Protocol.ops))
-        | Ok req -> handle t req)
-  in
-  let directive =
-    match response.Protocol.payload with
-    | Ok (Protocol.Result (Json.Obj fields)) when List.mem_assoc "stopping" fields -> `Shutdown
-    | _ -> `Continue
-  in
-  (Json.to_string (Protocol.response_to_json response), directive)
-
-(* Admission control refused this request: echo its id back (when the
-   payload parses far enough to carry one) under a typed E-overload
-   error, and count the shed.  Never runs the handler. *)
-let shed_frame t payload =
-  let id =
-    match Json.of_string payload with
-    | Error _ -> 0
-    | Ok json -> (
-        match Protocol.request_of_json json with
-        | Ok req -> req.Protocol.id
-        | Error (Protocol.Unknown_op { id; _ }) -> id
-        | Error (Protocol.Malformed _) -> 0)
-  in
+(* Admission control refused this request: count the shed; the
+   handler never runs. *)
+let shed t payload =
   locked t (fun () ->
       t.n_shed <- t.n_shed + 1;
       if Trace.enabled t.tracer then Metrics.incr (Trace.counter t.tracer "service.shed"));
-  let response =
-    { Protocol.id;
-      payload =
-        Error
-          { Protocol.code = Diagnostics.code_string Diagnostics.Overload;
-            message = "server overloaded: too many requests in flight" } }
-  in
-  Json.to_string (Protocol.response_to_json response)
+  Protocol.shed_reply ~message:"server overloaded: too many requests in flight" payload
 
 let backend t =
-  { Server.connect =
-      (fun () -> { Server.handle = handle_frame t; disconnect = (fun () -> ()) });
-    shed = shed_frame t;
-    on_queue_depth = observe_queue_depth t;
-    on_inflight = observe_inflight t;
-    on_lane_restart = (fun () -> note_lane_restart t);
-    set_runtime = set_runtime t }
+  let observe name n =
+    locked t (fun () -> Metrics.observe (Trace.histogram t.tracer name) (float_of_int n))
+  in
+  { Server.handle = Protocol.answer_frame ~rejected:(fun () -> count_failed_request t) (handle t);
+    shed = shed t;
+    on_queue_depth = observe "service.queue_depth";
+    on_inflight = observe "service.inflight";
+    on_lane_restart =
+      (fun () ->
+        locked t (fun () -> Metrics.incr (Trace.counter t.tracer "service.lane_restarts")));
+    set_runtime = (fun f -> t.runtime <- f) }

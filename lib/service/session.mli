@@ -74,38 +74,9 @@ val shed_count : t -> int
 val handle : t -> Protocol.request -> Protocol.response
 (** Never raises; see the module doc for the op and error schemas. *)
 
-val handle_frame : t -> string -> string * [ `Continue | `Shutdown ]
-(** Decode one frame payload, {!handle} it, encode the reply.
-    Malformed JSON yields an [E-protocol] error reply with id 0; an
-    unknown op echoes the request id and lists every known op.  The
-    directive tells the server loop whether this request
-    asked the service to stop. *)
-
-val shed_frame : t -> string -> string
-(** The admission-control refusal path: build an [E-overload] error
-    reply echoing the request's id (0 when unparseable), bump the shed
-    counter and the [service.shed] metric.  The handler never runs. *)
-
 val backend : t -> Server.backend
-(** Package this session as a {!Server.backend}: frames route through
-    {!handle_frame}, sheds through {!shed_frame}, and the server's
-    observability hooks feed the session's metrics. *)
-
-(** {2 Server hooks} *)
-
-val set_runtime : t -> (unit -> (string * Util.Json.t) list) -> unit
-(** Install extra [health]-reply fields (in-flight count, lane
-    restarts, …) supplied by the embedding server.  Call before
-    serving begins. *)
-
-val observe_queue_depth : t -> int -> unit
-(** Record an accept-time queue-depth sample into the
-    [service.queue_depth] histogram (called by the server). *)
-
-val observe_inflight : t -> int -> unit
-(** Record an admission-time in-flight sample into the
-    [service.inflight] histogram (called by the server). *)
-
-val note_lane_restart : t -> unit
-(** Bump the [service.lane_restarts] counter — an accept lane died
-    and was restarted (called by the server). *)
+(** Package this session as a {!Server.backend}: frames go through
+    {!Protocol.answer_frame} to {!handle} (a frame that does not decode
+    counts as a failed request), a shed frame gets an [E-overload]
+    reply and bumps the shed counter and the [service.shed] metric,
+    and the server's observability hooks feed the session's metrics. *)

@@ -1,11 +1,11 @@
-type 'a t = { mutable size : int; mutable keys : int array; mutable data : 'a array }
+type t = { mutable size : int; mutable keys : int array; mutable data : int array }
 
 let create () = { size = 0; keys = [||]; data = [||] }
 
 (* Max-heap order: higher key first; ties -> smaller payload first. *)
 let above t i j =
-  t.keys.(i) > t.keys.(j)
-  || (t.keys.(i) = t.keys.(j) && compare t.data.(i) t.data.(j) < 0)
+  let ki : int = t.keys.(i) and kj : int = t.keys.(j) in
+  ki > kj || (ki = kj && (t.data.(i) : int) < t.data.(j))
 
 let swap t i j =
   let k = t.keys.(i) in
@@ -15,9 +15,9 @@ let swap t i j =
   t.data.(i) <- t.data.(j);
   t.data.(j) <- d
 
-let grow t witness =
+let grow t =
   let cap = max 8 (2 * Array.length t.keys) in
-  let keys = Array.make cap 0 and data = Array.make cap witness in
+  let keys = Array.make cap 0 and data = Array.make cap 0 in
   Array.blit t.keys 0 keys 0 t.size;
   Array.blit t.data 0 data 0 t.size;
   t.keys <- keys;
@@ -43,7 +43,7 @@ let rec sift_down t i =
   end
 
 let push t ~key v =
-  if t.size = Array.length t.keys then grow t v;
+  if t.size = Array.length t.keys then grow t;
   t.keys.(t.size) <- key;
   t.data.(t.size) <- v;
   t.size <- t.size + 1;

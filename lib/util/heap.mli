@@ -1,18 +1,20 @@
-(** Binary max-heap over integer-keyed elements.
+(** Binary max-heap of integer payloads under integer keys.
 
-    Used by the dynamic fault-ordering procedures ([Fdynm], [F0dynm]):
-    keys (accidental detection indices) only ever decrease, so the heap
-    supports the classic lazy-deletion discipline — push stale entries
-    freely and filter on pop.  Ties are broken towards the smaller
-    element payload so orderings are deterministic. *)
+    Used by the dynamic fault-ordering procedures ([Fdynm], [F0dynm]),
+    whose payloads are fault indices: keys (accidental detection
+    indices) only ever decrease, so the heap supports the classic
+    lazy-deletion discipline — push stale entries freely and filter on
+    pop.  Ties are broken towards the smaller payload so orderings are
+    deterministic.  Keys and payloads compare as [int]s, never through
+    polymorphic [compare]. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val push : 'a t -> key:int -> 'a -> unit
+val push : t -> key:int -> int -> unit
 (** Insert an entry.  O(log n). *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the max-key entry; among equal keys the entry
-    with the smaller payload (polymorphic compare) wins.  O(log n). *)
+val pop : t -> (int * int) option
+(** Remove and return the max-key entry as [(key, payload)]; among
+    equal keys the entry with the smaller payload wins.  O(log n). *)

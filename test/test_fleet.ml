@@ -2,10 +2,11 @@
    properties: request order preserved, every item byte-identical to
    the equivalent sequential single op, across cold and warm caches
    and jobs=1 vs jobs=4), the client's wire traffic (a batch is one
-   frame, replies are matched out of order), the shared write-through spill store, the router's
+   frame), the shared write-through spill store, the router's
    consistent-hash ring (cache affinity, minimal rehash on death,
-   revival restores the mapping), and an end-to-end router fleet with
-   a worker kill and failover. *)
+   revival restores the mapping), an end-to-end router fleet with a
+   worker kill and failover, the router's own replies to frames it
+   never routes, and two clients crossing between one-lane workers. *)
 
 module Json = Util.Json
 module D = Util.Diagnostics
@@ -126,7 +127,7 @@ let batch_isolates_bad_items () =
       check Alcotest.string "bad item is typed" "E-flag" e.Protocol.code
   | rs -> Alcotest.fail (Printf.sprintf "expected ok/err/ok, got %d replies" (List.length rs))
 
-(* ---------- client pipelining ------------------------------------- *)
+(* ---------- client wire traffic ----------------------------------- *)
 
 (* Run [serve] on the one connection a fresh client makes to a
    hand-rolled server, and [f] on that client.  The client is closed
@@ -151,56 +152,18 @@ let with_fake_server ~serve f =
   Sys.remove path;
   (result, served)
 
-(* A hand-rolled server that answers one connection's N requests in
-   reverse order — the client must still return replies in request
-   order by matching ids. *)
-let pipeline_reorders_replies () =
-  let n = 3 in
-  let serve fd =
-    let reqs = List.init n (fun _ -> Option.get (Protocol.read_frame fd)) in
-    let ids =
-      List.map
-        (fun payload ->
-          match Json.of_string payload with
-          | Error _ -> Alcotest.fail "server got a malformed frame"
-          | Ok json -> (
-              match Protocol.request_of_json json with
-              | Ok (req : Protocol.request) -> req.Protocol.id
-              | Error _ -> Alcotest.fail "server got a malformed frame"))
-        reqs
-    in
-    List.iter
-      (fun id ->
-        Protocol.write_frame fd
-          (Json.to_string
-             (Protocol.response_to_json
-                { Protocol.id;
-                  payload = Ok (Protocol.Result (Json.Obj [ ("echo", Json.Int id) ])) })))
-      (List.rev ids);
-    ids
-  in
-  let calls = List.init n (fun _ -> Protocol.Single (Protocol.Stats, [])) in
-  let replies, ids = with_fake_server ~serve (fun client -> Client.pipeline client calls) in
-  let echoed =
-    List.map
-      (function
-        | Ok (Protocol.Result j) -> Option.get (Option.bind (Json.member "echo" j) Json.to_int)
-        | _ -> Alcotest.fail "pipeline lost a reply")
-      replies
-  in
-  Alcotest.(check (list int)) "replies in request order despite reversed delivery" ids echoed
-
 (* A hand-rolled server that records every frame a fresh client sends
    and answers each through a real session: a batch must go out as one
    frame, with no handshake before it.  A "hello" frame is an ordinary
    unknown op whose error lists the batch ops. *)
 let batch_is_one_frame () =
   let session = Session.create ~capacity:2 () in
+  let handle_frame = (Session.backend session).Server.handle in
   let rec serve frames fd =
     match Protocol.read_frame fd with
     | None -> List.rev frames
     | Some payload ->
-        Protocol.write_frame fd (fst (Session.handle_frame session payload));
+        Protocol.write_frame fd (fst (handle_frame payload));
         serve (payload :: frames) fd
   in
   let reply, frames =
@@ -217,7 +180,7 @@ let batch_is_one_frame () =
   check (Alcotest.option Alcotest.string) "first frame is the batch" (Some "batch_adi")
     (Option.bind (List.nth_opt frames 0) op_of);
   check Alcotest.int "exactly one frame on the wire" 1 (List.length frames);
-  let reply, _ = Session.handle_frame session {|{"id":5,"op":"hello"}|} in
+  let reply, _ = handle_frame {|{"id":5,"op":"hello"}|} in
   match Result.bind (Json.of_string reply) Protocol.response_of_json with
   | Ok { Protocol.id = 5; payload = Error e } ->
       let contains msg sub =
@@ -315,8 +278,8 @@ let temp_socket name =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "adi-%s-%d-%d.sock" name (Unix.getpid ()) (Random.bits ()))
 
-let start_backend backend address =
-  let server = Server.create ~workers:2 ~backlog:8 backend address in
+let start_backend ?(workers = 2) ?max_inflight ?queue_wait_s backend address =
+  let server = Server.create ~workers ~backlog:8 ?max_inflight ?queue_wait_s backend address in
   let ready = Atomic.make false in
   let dom =
     Domain.spawn (fun () -> Server.serve server ~on_ready:(fun () -> Atomic.set ready true))
@@ -397,22 +360,157 @@ let router_fleet_end_to_end () =
             (Option.bind (Json.member "role" j) Json.to_str)
       | Error d -> Alcotest.fail (D.to_string d))
 
+(* ---------- router front door -------------------------------------- *)
+
+(* One raw exchange on an open connection: the reply frame verbatim. *)
+let raw_exchange fd payload =
+  Protocol.write_frame fd payload;
+  match Protocol.read_frame fd with Some reply -> reply | None -> Alcotest.fail "router hung up"
+
+let raw_connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+(* The router's own replies to frames it never routes — malformed,
+   unknown op, shed by admission control — pinned byte for byte, and
+   counted in its [errors] and [shed] figures.  The one worker listens
+   but never accepts, so a forward to it holds the router's single
+   in-flight slot until the listener closes. *)
+let router_front_door_replies () =
+  let worker_path = temp_socket "front-worker" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX worker_path);
+  Unix.listen listener 8;
+  let close_listener = lazy (Unix.close listener) in
+  let router =
+    Router.create
+      ~policy:{ Client.default_policy with Util.Retry.max_attempts = 2; base_delay_s = 0.005 }
+      [ Server.Unix_socket worker_path ]
+  in
+  let front = temp_socket "front-router" in
+  let rs, rd =
+    start_backend ~max_inflight:1 ~queue_wait_s:0.0 (Router.backend router)
+      (Server.Unix_socket front)
+  in
+  let fd = raw_connect front in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Lazy.force close_listener;
+      Server.request_stop rs;
+      Domain.join rd;
+      Sys.remove worker_path)
+    (fun () ->
+      check Alcotest.string "malformed frame"
+        {|{"id":0,"ok":false,"error":{"code":"E-protocol","message":"malformed request: bad literal at offset 0"}}|}
+        (raw_exchange fd "nonsense");
+      check Alcotest.string "unknown op"
+        {|{"id":4,"ok":false,"error":{"code":"E-protocol","message":"unknown op \"frobnicate\" (expected one of: load, adi, order, atpg, diagnose, stats, health, evict, shutdown, batch_adi, batch_order, batch_atpg, batch_diagnose)"}}|}
+        (raw_exchange fd {|{"id":4,"op":"frobnicate"}|});
+      let held = raw_connect front in
+      let forward =
+        Domain.spawn (fun () ->
+            Fun.protect ~finally:(fun () -> Unix.close held) (fun () ->
+                raw_exchange held {|{"id":8,"op":"load","circuit":"c17"}|}))
+      in
+      while (List.hd (Router.workers router)).Router.forwarded = 0 do
+        Unix.sleepf 0.002
+      done;
+      check Alcotest.string "shed frame"
+        {|{"id":9,"ok":false,"error":{"code":"E-overload","message":"router overloaded: request shed before routing"}}|}
+        (raw_exchange fd {|{"id":9,"op":"stats"}|});
+      Lazy.force close_listener;
+      check Alcotest.string "held forward finds no live worker"
+        {|{"id":8,"ok":false,"error":{"code":"E-io","message":"no live workers (1 configured)"}}|}
+        (Domain.join forward);
+      let field name reply =
+        match Result.bind (Json.of_string reply) Protocol.response_of_json with
+        | Ok { Protocol.payload = Ok (Protocol.Result j); _ } ->
+            Option.bind (Json.member name j) Json.to_int
+        | _ -> None
+      in
+      let stats = raw_exchange fd {|{"id":10,"op":"stats"}|} in
+      check (Alcotest.option Alcotest.int) "requests before stats, shed not counted" (Some 3)
+        (field "requests" stats);
+      check (Alcotest.option Alcotest.int) "every one of them an error" (Some 3)
+        (field "errors" stats);
+      check (Alcotest.option Alcotest.int) "one shed" (Some 1)
+        (field "shed" (raw_exchange fd {|{"id":11,"op":"health"}|})))
+
+(* ---------- router lanes never wait on each other ------------------- *)
+
+(* Two one-lane workers behind a two-lane router.  Client A warms a
+   circuit owned by w0 and client B one owned by w1; then each asks
+   for the other's circuit at the same time.  A router connection
+   that pinned a worker lane for its own lifetime would leave each
+   forward queued behind the other client's idle connection until
+   both time out. *)
+let router_crossing_clients_both_answered () =
+  let netlist i =
+    [ ("netlist", Json.Str (Printf.sprintf "INPUT(a)\nINPUT(b)\nOUTPUT(z%d)\nz%d = AND(a, b)\n" i i)) ]
+  in
+  let w0_addr = Server.Unix_socket (temp_socket "cross-w0") in
+  let w1_addr = Server.Unix_socket (temp_socket "cross-w1") in
+  let router = Router.create [ w0_addr; w1_addr ] in
+  let owned_by w =
+    let rec find i =
+      if Router.worker_for router (Option.get (Router.routing_key (netlist i))) = Some w then
+        netlist i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let on_w0 = owned_by 0 and on_w1 = owned_by 1 in
+  let w0, d0 = start_backend ~workers:1 (Session.backend (Session.create ~capacity:4 ())) w0_addr in
+  let w1, d1 = start_backend ~workers:1 (Session.backend (Session.create ~capacity:4 ())) w1_addr in
+  let front = Server.Unix_socket (temp_socket "cross-router") in
+  let rs, rd = start_backend ~workers:2 (Router.backend router) front in
+  let a = Client.create front and b = Client.create front in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close a;
+      Client.close b;
+      (* Workers first: a router lane stuck on a worker is freed when
+         that worker goes away. *)
+      Server.request_stop w0;
+      Server.request_stop w1;
+      Domain.join d0;
+      Domain.join d1;
+      Server.request_stop rs;
+      Domain.join rd)
+    (fun () ->
+      let ok what = function Ok _ -> () | Error d -> Alcotest.fail (what ^ ": " ^ D.to_string d) in
+      ok "A warms w0" (Client.load a on_w0);
+      ok "B warms w1" (Client.load b on_w1);
+      let cross = Domain.spawn (fun () -> Client.load b ~timeout_s:5. on_w0) in
+      let a_reply = Client.load a ~timeout_s:5. on_w1 in
+      let b_reply = Domain.join cross in
+      ok "A crosses to w1" a_reply;
+      ok "B crosses to w0" b_reply)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
   Random.self_init ();
+  (* Several servers share this process, and each restores the SIGPIPE
+     handler it found when it stops; ignored from the start, a write to
+     a vanished peer stays an EPIPE instead of killing the suite. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "fleet"
     [ ( "protocol-v2",
         [ Alcotest.test_case "batch isolates bad items" `Quick batch_isolates_bad_items;
           qtest batch_equals_sequential;
           qtest batch_warm_and_jobs_identical ] );
       ( "client",
-        [ Alcotest.test_case "pipeline reorders replies" `Quick pipeline_reorders_replies;
-          Alcotest.test_case "batch is one frame" `Quick batch_is_one_frame ] );
+        [ Alcotest.test_case "batch is one frame" `Quick batch_is_one_frame ] );
       ( "store",
         [ Alcotest.test_case "shared write-through spill" `Quick shared_spill_seeds_sibling_workers ] );
       ( "ring",
         [ Alcotest.test_case "affinity stable, rehash minimal" `Quick ring_affinity_is_stable_and_minimal;
           Alcotest.test_case "routing key identity" `Quick routing_key_tracks_circuit_identity ] );
       ( "fleet",
-        [ Alcotest.test_case "router end to end with failover" `Quick router_fleet_end_to_end ] ) ]
+        [ Alcotest.test_case "router end to end with failover" `Quick router_fleet_end_to_end;
+          Alcotest.test_case "router front-door replies" `Quick router_front_door_replies;
+          Alcotest.test_case "crossing clients both answered" `Quick
+            router_crossing_clients_both_answered ] ) ]

@@ -194,6 +194,9 @@ let request_json_round_trip () =
 
 (* ---------- session error taxonomy -------------------------------- *)
 
+(* One frame through the session's server backend, as a lane serves it. *)
+let handle_frame t payload = (Session.backend t).Server.handle payload
+
 let error_code resp =
   match resp.Protocol.payload with
   | Error e -> e.Protocol.code
@@ -205,7 +208,7 @@ let session_error_taxonomy () =
   (* Unknown ops cannot be expressed as a typed request; they are
      rejected at frame decode, listing every known op. *)
   (let reply, _ =
-     Session.handle_frame t
+     handle_frame t
        (Json.to_string (Json.Obj [ ("id", Json.Int 1); ("op", Json.Str "frobnicate") ]))
    in
    match Result.bind (Json.of_string reply) Protocol.response_of_json with
@@ -234,17 +237,17 @@ let session_error_taxonomy () =
 
 let session_malformed_frames () =
   let t = Session.create ~capacity:2 () in
-  let reply, directive = Session.handle_frame t "nonsense" in
+  let reply, directive = handle_frame t "nonsense" in
   Alcotest.(check bool) "malformed frame continues" true (directive = `Continue);
   (match Result.bind (Json.of_string reply) Protocol.response_of_json with
   | Ok { Protocol.id; payload = Error e } ->
       check Alcotest.int "unattributable id" 0 id;
       check Alcotest.string "protocol error" "E-protocol" e.Protocol.code
   | _ -> Alcotest.fail "expected an error reply");
-  let _, directive = Session.handle_frame t "[1,2]" in
+  let _, directive = handle_frame t "[1,2]" in
   Alcotest.(check bool) "non-object request continues" true (directive = `Continue);
   let reply, directive =
-    Session.handle_frame t (Json.to_string (Json.Obj [ ("id", Json.Int 7); ("op", Json.Str "shutdown") ]))
+    handle_frame t (Json.to_string (Json.Obj [ ("id", Json.Int 7); ("op", Json.Str "shutdown") ]))
   in
   Alcotest.(check bool) "shutdown op stops the loop" true (directive = `Shutdown);
   match Result.bind (Json.of_string reply) Protocol.response_of_json with
@@ -253,7 +256,7 @@ let session_malformed_frames () =
 
 (* ---------- byte identity ----------------------------------------- *)
 
-let reply_string t req = fst (Session.handle_frame t (Json.to_string (Protocol.request_to_json req)))
+let reply_string t req = fst (handle_frame t (Json.to_string (Protocol.request_to_json req)))
 
 (* The [cached] field truthfully reports the serving path, so it is the
    one field allowed to differ between a cold and a warm reply. *)

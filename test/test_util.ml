@@ -300,13 +300,13 @@ let heap_pops_sorted =
 
 let heap_tie_break () =
   let h = Heap.create () in
-  Heap.push h ~key:5 "b";
-  Heap.push h ~key:5 "a";
-  Heap.push h ~key:7 "c";
-  check Alcotest.(option (pair int string)) "max first" (Some (7, "c")) (Heap.pop h);
-  check Alcotest.(option (pair int string)) "tie -> smaller payload" (Some (5, "a")) (Heap.pop h);
-  check Alcotest.(option (pair int string)) "then larger" (Some (5, "b")) (Heap.pop h);
-  check Alcotest.(option (pair int string)) "empty" None (Heap.pop h)
+  Heap.push h ~key:5 2;
+  Heap.push h ~key:5 1;
+  Heap.push h ~key:7 3;
+  check Alcotest.(option (pair int int)) "max first" (Some (7, 3)) (Heap.pop h);
+  check Alcotest.(option (pair int int)) "tie -> smaller payload" (Some (5, 1)) (Heap.pop h);
+  check Alcotest.(option (pair int int)) "then larger" (Some (5, 2)) (Heap.pop h);
+  check Alcotest.(option (pair int int)) "empty" None (Heap.pop h)
 
 (* --- Table -------------------------------------------------------- *)
 
